@@ -165,22 +165,22 @@ std::vector<Edit> ReadPlan(const std::string& path) {
   return plan;
 }
 
-EditOutcome ApplyEdit(uint16_t port, pid_t pid, const Edit& edit, int probe_us,
-                      int timeout_ms, std::atomic<uint32_t>* signalled) {
+EditOutcome ApplyEdit(uint16_t port, pid_t pid, const Edit& edit,
+                      std::atomic<uint32_t>* signalled) {
   EditOutcome outcome;
   std::filesystem::rename(edit.source, edit.target);
   int fd = ConnectUdp(port);
   signalled->fetch_add(1);
   int64_t start = NowNs();
   ::kill(pid, SIGHUP);
-  const int64_t give_up = start + int64_t{timeout_ms} * 1'000'000;
+  const int64_t give_up = start + kEditTimeoutNs;
   uint64_t id = (static_cast<uint64_t>(pid) << 40) | (static_cast<uint64_t>(start) & 0xffffffffffu);
   std::vector<char> buffer(wire::kMaxDatagramBytes);
   std::string error;
   while (NowNs() < give_up && outcome.visible_ms < 0) {
     std::string datagram = EncodeNames(++id, Request{edit.sentinel});
     ::send(fd, datagram.data(), datagram.size(), 0);
-    int64_t next_probe = NowNs() + int64_t{probe_us} * 1000;
+    int64_t next_probe = NowNs() + kEditProbeNs;
     for (;;) {
       int64_t wait_ns = next_probe - NowNs();
       pollfd pfd{fd, POLLIN, 0};
@@ -208,8 +208,6 @@ LoadResult RunLoad(const LoadOptions& options, const std::vector<Request>& pool)
   ::prctl(PR_SET_TIMERSLACK, 1000UL, 0, 0, 0);  // 1 us: sleeps end close to their deadline
   const uint64_t count = static_cast<uint64_t>(options.rate * options.seconds);
   const int64_t interval_ns = static_cast<int64_t>(1e9 / options.rate);
-  const int64_t timeout_ns = int64_t{options.timeout_ms} * 1'000'000;
-  const int64_t deadline_ns = int64_t{options.deadline_ms} * 1'000'000;
 
   // Per-request state: 0 pending, 1 answered, 2 overloaded, 3 bad reply, 4 timed out.
   std::vector<std::atomic<uint8_t>> state(count);
@@ -289,19 +287,18 @@ LoadResult RunLoad(const LoadOptions& options, const std::vector<Request>& pool)
     editor = std::thread([&] {
       AvoidCpus(options.sender_cpu, options.receiver_cpu);
       try {
-        const int64_t gap_ns = static_cast<int64_t>(options.edit_gap_s * 1e9);
-        const int64_t last_start = t0 + static_cast<int64_t>(options.seconds * 1e9) - gap_ns;
-        int64_t next = t0 + gap_ns;
+        const int64_t last_start = t0 + static_cast<int64_t>(options.seconds * 1e9) - kEditGapNs;
+        int64_t next = t0 + kEditGapNs;
         for (size_t k = 0; k < options.edits.size() && next <= last_start; ++k) {
           WaitUntil(next);
           EditOutcome outcome = ApplyEdit(options.port, options.pid, options.edits[k],
-                                          options.probe_us, 30'000, &signalled);
+                                          &signalled);
           result.edits.push_back(outcome);
           if (outcome.visible_ms < 0) {
             break;
           }
           visible.fetch_add(1);
-          next = NowNs() + gap_ns;
+          next = NowNs() + kEditGapNs;
         }
       } catch (...) {
         editor_error = std::current_exception();
@@ -326,7 +323,7 @@ LoadResult RunLoad(const LoadOptions& options, const std::vector<Request>& pool)
       if (state[item.index].load() != 0) {
         continue;
       }
-      if (now - (t0 + int64_t(item.index) * interval_ns) >= deadline_ns) {
+      if (now - (t0 + int64_t(item.index) * interval_ns) >= kDeadlineNs) {
         uint8_t expected = 0;
         if (state[item.index].compare_exchange_strong(expected, 4)) {
           ++result.timed_out;
@@ -335,7 +332,7 @@ LoadResult RunLoad(const LoadOptions& options, const std::vector<Request>& pool)
       }
       send_request(item.index);
       ++result.retransmits;
-      pending.push_back({item.index, now + timeout_ns});
+      pending.push_back({item.index, now + kRetransmitNs});
     }
   };
   PinThread(options.sender_cpu);
@@ -346,7 +343,7 @@ LoadResult RunLoad(const LoadOptions& options, const std::vector<Request>& pool)
     result.late_us.push_back(static_cast<double>(now - scheduled) / 1e3);
     epoch_lo[i].store(visible.load(), std::memory_order_release);
     send_request(i);
-    pending.push_back({i, now + timeout_ns});
+    pending.push_back({i, now + kRetransmitNs});
     service_pending(now);
   }
   for (;;) {

@@ -3,7 +3,7 @@
 //
 // One sender thread sends request i at t0 + i / rate whether or not earlier
 // requests were answered (open loop), and retransmits the same request id every
-// timeout until a terminal reply arrives or the deadline passes, as `routedb
+// kRetransmitNs until a terminal reply arrives or kDeadlineNs passes, as `routedb
 // query` does.  One receiver thread matches replies to requests.  Latency counts
 // from each request's scheduled send time, so a stall in the daemon (or in the
 // generator itself) shows up in every request queued behind it.  Both threads
@@ -33,6 +33,25 @@ namespace perfbench {
 // One request: up to wire::kMaxQueriesPerRequest destination names.
 using Request = std::vector<std::string>;
 
+// An unanswered request is sent again with the same id this often, as `routedb
+// query` does by default.
+constexpr int64_t kRetransmitNs = 1'000'000'000;
+// A request still unanswered this long after its scheduled time has failed.
+// `routedb query` gives up after 5 s, but a shared virtual machine stalls for
+// seconds now and then, which is not the daemon's failure.
+constexpr int64_t kDeadlineNs = 10'000'000'000;
+// Churn: each edit starts this long after the previous one became visible (the
+// first this long after the load starts).  A reload stalls the loop for about
+// 1 s and drops what overflows the socket buffer; with retransmits every 1 s, a
+// fixed period near 2 s could send every retry of an unlucky request into a
+// stall, while a gap of 1.5 s after each stall lets the second retry through for
+// any stall shorter than 2 s.
+constexpr int64_t kEditGapNs = 1'500'000'000;
+// An edit's sentinel is asked for this often until it resolves, and the edit
+// has failed if it does not resolve within kEditTimeoutNs.
+constexpr int64_t kEditProbeNs = 1'000'000;
+constexpr int64_t kEditTimeoutNs = 30'000'000'000;
+
 // Pins the calling thread to `cpu` (-1: leave it to the scheduler).
 void PinThread(int cpu);
 
@@ -57,31 +76,23 @@ struct EditOutcome {
 };
 
 // Applies `edit` to the daemon `pid` serving UDP `port` and probes the sentinel
-// every `probe_us` until it resolves or `timeout_ms` passes.  `signalled` is
+// every kEditProbeNs until it resolves or kEditTimeoutNs passes.  `signalled` is
 // incremented just before the signal is sent.
-EditOutcome ApplyEdit(uint16_t port, pid_t pid, const Edit& edit, int probe_us,
-                      int timeout_ms, std::atomic<uint32_t>* signalled);
+EditOutcome ApplyEdit(uint16_t port, pid_t pid, const Edit& edit,
+                      std::atomic<uint32_t>* signalled);
 
 struct LoadOptions {
   uint16_t port = 0;
   double rate = 1000;           // requests per second
   double seconds = 1;           // sending window
-  int timeout_ms = 1000;        // retransmit interval (routedb query's default)
-  int deadline_ms = 10000;      // a request unanswered this long after its scheduled
-                                //   time has failed: routedb query gives up after
-                                //   5 s, but a shared VM stalls for seconds now and
-                                //   then, which is not the daemon's failure
   uint64_t id_base = 1;         // request ids are id_base + i
   uint32_t epoch_base = 0;      // generation already live when the run starts
   int sender_cpu = -1;          // CPU to pin each thread to; -1: not pinned
   int receiver_cpu = -1;
-  // Churn: edits applied in order to daemon `pid`, each `edit_gap_s` after the
-  // previous one became visible (the first that long after the start), while
-  // an edit can still start a gap before the sending window closes.
+  // Churn: edits applied in order to daemon `pid`, kEditGapNs apart, while an
+  // edit can still start a gap before the sending window closes.
   pid_t pid = 0;
   std::vector<Edit> edits;
-  double edit_gap_s = 1;
-  int probe_us = 1000;
 };
 
 struct LoadResult {

@@ -40,6 +40,7 @@ BUILD_DIR = ROOT / ".bench_build" / "cmake"
 TOOLS = ["pathalias", "mapgen", "routedb", "routedbd", "perfbench_tool"]
 
 MAP_HOSTS = 1_000_000
+MAP_SETUPS = 3
 SERVE_HOSTS = 100_000
 # Fixed offered rates for serve.  The headline is the lower one: on a shared
 # virtual machine 80k req/s sat close enough to the knee that stolen CPU time
@@ -48,13 +49,32 @@ SERVE_RATES = (20_000, 50_000)
 LADDER = tuple(range(20_000, 200_001, 20_000))
 CHURN_RATE = 5_000
 CHURN_SETUPS = 3
-# Each edit lands this long after the previous one became visible.  A reload
-# stalls the loop for ~1 s and drops what overflows the socket buffer; clients
-# retransmit every 1 s, so a fixed period near 2 s could send every retry of an
-# unlucky request into a stall, while a gap of 1.5 s after each stall lets the
-# second retry through for any stall shorter than 2 s.
-CHURN_EDIT_GAP_S = 1.5
 TRACED_EDITS = 5
+
+# The per-layer metrics each workload's traced run must produce.  Every other
+# per-layer metric in BENCHMARK.json belongs to a layer the workload does not
+# run, and reports 0 there.
+TRACE_TOTALS = ("trace.coverage", "trace.overhead_ratio")
+TRACED = {
+    "map": ("io.read_ms", "parser.lex_ms", "parser.tokens", "parser.lex_mtokens_per_s",
+            "parser.parse_ms", "parser.declarations", "graph.nodes", "graph.links",
+            "graph.teardown_ms", "core.mapper.run_ms", "core.mapper.heap_pops",
+            "core.mapper.relaxations", "core.mapper.back_link_passes",
+            "core.mapper.invented_links", "core.route_printer.build_ms",
+            "core.route_printer.render_ms", "core.route_printer.routes",
+            "core.route_printer.bytes", "io.write_ms") + TRACE_TOTALS,
+    "serve": ("net.daemon.turn_us.p50", "net.daemon.turn_us.p99",
+              "net.daemon.datagrams_per_turn", "net.daemon.queries_per_batch",
+              "net.daemon.send_drops", "net.daemon.overload_replies",
+              "net.daemon.duplicate_requests", "net.wire.encode_request_ns",
+              "net.wire.decode_request_ns", "net.wire.encode_reply_ns",
+              "net.wire.decode_reply_ns", "exec.resolve_ns_per_query", "exec.cache_hit_rate",
+              "route_db.resolved_ratio", "route_db.suffix_ratio", "image.open_ms")
+             + TRACE_TOTALS,
+    "churn": ("io.read_maps_ms", "incr.update_ms", "incr.patched_ratio", "incr.dirty_nodes",
+              "incr.routes_changed", "image.refreeze_ms", "incr.state_save_ms", "image.open_ms",
+              "exec.adopt_ms", "exec.cache_hit_rate") + TRACE_TOTALS,
+}
 
 # With four or more CPUs the daemon, the load generator's sender and its
 # receiver each get one to themselves (the last three); the rest run elsewhere.
@@ -133,11 +153,15 @@ def environment():
             best, fs = parts[1], parts[2]
     cache_vars = read_first(BUILD_DIR / "CMakeCache.txt", "")
     compiler = re.search(r"^CMAKE_CXX_COMPILER:\w+=(.*)$", cache_vars, re.M)
-    flags = "unknown"
-    for entry in json.loads(read_first(BUILD_DIR / "compile_commands.json", "[]")):
-        if entry.get("file", "").endswith("pathalias_main.cc"):
-            flags = " ".join(f for f in entry.get("command", "").split()
-                             if f.startswith(("-O", "-g", "-march", "-DNDEBUG")))
+    build_type = re.search(r"^CMAKE_BUILD_TYPE:\w+=(.*)$", cache_vars, re.M)
+    commands = json.loads(read_first(BUILD_DIR / "compile_commands.json", "[]"))
+
+    def flags_of(source):
+        for entry in commands:
+            if entry.get("file", "").endswith(source):
+                return " ".join(f for f in entry.get("command", "").split()
+                                if f.startswith(("-O", "-g", "-march", "-DNDEBUG")))
+        return "unknown"
     compiler_version = "unknown"
     if compiler:
         done = subprocess.run([compiler.group(1), "--version"], capture_output=True, text=True)
@@ -159,7 +183,9 @@ def environment():
         "net.unix.max_dgram_qlen": read_first("/proc/sys/net/unix/max_dgram_qlen"),
         "net.core.rmem_default": read_first("/proc/sys/net/core/rmem_default"),
         "compiler": compiler_version,
-        "build_flags": flags,
+        "build_type": build_type.group(1) if build_type else "unknown",
+        "build_flags": flags_of("pathalias_main.cc"),
+        "harness_flags": flags_of("perfbench/loadgen.cc"),
         "commit": commit or "not a git checkout",
         "src_sha256": digest.hexdigest()[:16],
         "pinned_cpus": "daemon %s, sender %s, receiver %s" % (DAEMON_CPU, SENDER_CPU,
@@ -171,6 +197,8 @@ def environment():
 
 
 def run_mapgen(bins, hosts, seed, directory):
+    """Writes the seed's site files into `directory`; returns the suggested local
+    host and the files in order."""
     done = subprocess.run([bins["mapgen"], "--profile", "usenet-scale", "--hosts", str(hosts),
                            "--seed", str(seed), "--dir", str(directory)],
                           capture_output=True, text=True)
@@ -181,14 +209,19 @@ def run_mapgen(bins, hosts, seed, directory):
     return match.group(1), files
 
 
+Timed = collections.namedtuple("Timed", "wall_s cpu_s rss_mib status")
+
+
 def timed_run(argv):
-    """Runs argv to completion; returns (wall seconds, peak RSS MiB, exit status)."""
+    """Runs argv to completion; returns its wall and CPU (user + system) seconds,
+    peak RSS in MiB and exit status."""
     start = time.perf_counter()
     child = subprocess.Popen(argv, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     wall = time.perf_counter() - start
     child.returncode = os.waitstatus_to_exitcode(status)
-    return wall, usage.ru_maxrss / 1024.0, child.returncode
+    return Timed(wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0,
+                 child.returncode)
 
 
 def run_pathalias(bins, local, files, out):
@@ -333,7 +366,13 @@ def late_ok(summary):
 
 
 def map_workload(bins, work, seed, seconds, trace):
-    local, files = run_mapgen(bins, MAP_HOSTS, seed, work / "maps")
+    # Set-up is writing the seed's site files, timed over MAP_SETUPS generations.
+    setups = []
+    for _ in range(1 if trace else MAP_SETUPS):
+        shutil.rmtree(work / "maps", ignore_errors=True)
+        start = time.perf_counter()
+        local, files = run_mapgen(bins, MAP_HOSTS, seed, work / "maps")
+        setups.append(time.perf_counter() - start)
     routes = work / "routes.txt"
     failed = attempted = 0
     pins = json.loads((BENCH_DIR / "pins.json").read_text()).get("map", {})
@@ -353,10 +392,10 @@ def map_workload(bins, work, seed, seconds, trace):
 
         def untraced_run():
             nonlocal attempted, failed
-            wall, _, status = run_pathalias(bins, local, files, routes)
+            run = run_pathalias(bins, local, files, routes)
             attempted += 1
-            failed += status != 0 or not check(routes)[0]
-            walls.append(wall)
+            failed += run.status != 0 or not check(routes)[0]
+            walls.append(run.wall_s)
 
         def traced_run():
             nonlocal attempted, failed
@@ -391,35 +430,39 @@ def map_workload(bins, work, seed, seconds, trace):
             ", ".join("%.1f" % sum(t[k] for k in spans) for t in traced)))
         return attempted, failed, figures
 
-    setup_s, rss, status = run_pathalias(bins, local, files, routes)
-    attempted += 1
-    ok, count, digest = check(routes)
-    failed += status != 0 or not ok
-    log("map: %d hosts, local %s, %d routes, sha256 %s" % (MAP_HOSTS, local, count, digest))
-    walls, rsses = [], []
+    runs, outputs = [], set()
     start = time.perf_counter()
-    while len(walls) < 3 or time.perf_counter() - start < seconds:
-        wall, rss, status = run_pathalias(bins, local, files, routes)
+    while len(runs) < 3 or time.perf_counter() - start < seconds:
+        run = run_pathalias(bins, local, files, routes)
         attempted += 1
-        ok, count2, digest2 = check(routes)
-        failed += status != 0 or not ok or (count2, digest2) != (count, digest)
-        walls.append(wall)
-        rsses.append(rss)
-    map_wall = statistics.median(walls)
-    metric_line("map_wall_s", map_wall, "s", "(median of %d runs)" % len(walls))
-    metric_line("map_peak_rss_mib", statistics.median(rsses), "MiB")
+        ok, count, digest = check(routes)
+        failed += run.status != 0 or not ok
+        outputs.add((count, digest))
+        runs.append(run)
+    failed += len(outputs) - 1  # every run must give the same routes
+    for count, digest in sorted(outputs):
+        log("map: %d hosts, local %s, %d routes, sha256 %s" % (MAP_HOSTS, local, count, digest))
+    log("map: set-up (mapgen) %s s" % ", ".join("%.2f" % t for t in setups))
+    map_wall = statistics.median(r.wall_s for r in runs)
+    rss = statistics.median(r.rss_mib for r in runs)
+    metric_line("map_wall_s", map_wall, "s", "(median of %d runs: %s)" % (
+        len(runs), ", ".join("%.2f" % r.wall_s for r in runs)))
+    # CPU time beside wall time: on a shared virtual machine the wall also holds
+    # time the CPU was taken away, which the process's CPU time does not.
+    metric_line("map_cpu_s", statistics.median(r.cpu_s for r in runs), "s",
+                "(user + system, median)")
+    metric_line("map_peak_rss_mib", rss, "MiB")
     return attempted, failed, {
-        "setup_s": setup_s,
+        "setup_s": statistics.median(setups),
         "latency_p50_ms": map_wall * 1e3,
-        "peak_rss_mib": statistics.median(rsses),
+        "peak_rss_mib": rss,
     }
 
 
 def build_serving_inputs(bins, work, seed):
     local, files = run_mapgen(bins, SERVE_HOSTS, seed, work / "maps")
     routes_path = work / "routes.txt"
-    _, _, status = run_pathalias(bins, local, files, routes_path)
-    if status != 0:
+    if run_pathalias(bins, local, files, routes_path).status != 0:
         raise BenchError("pathalias failed on the %d-host map" % SERVE_HOSTS)
     text = routes_path.read_text()
     ok, _ = check_route_text(text, local)
@@ -594,8 +637,7 @@ class ChurnMaps:
             changed = self.versions[generation]
             files = [changed.get(path, self.original(path)) for path in self.files]
             out = self.work / ("oracle%d.txt" % generation)
-            _, _, status = run_pathalias(bins, local, files, out)
-            if status != 0:
+            if run_pathalias(bins, local, files, out).status != 0:
                 raise BenchError("pathalias failed on generation %d" % generation)
             return benchlib.parse_routes(out.read_text())
         with ThreadPoolExecutor(max_workers=3) as pool:
@@ -681,10 +723,11 @@ def churn_workload(bins, work, seed, seconds, trace):
                 failed += daemon.stop().get("reload_errors", 0)
             daemon = Daemon(bins, image, files)
             setups.append(daemon.ready_s + edit(daemon, "setup%d" % i) / 1e3)
-        plan = maps.plan(int(seconds / CHURN_EDIT_GAP_S) + 1, "measured")
+        # More edits than the editor can apply: it waits over a second (loadgen.h's
+        # kEditGapNs) after each edit became visible before it starts the next.
+        plan = maps.plan(int(seconds) + 1, "measured")
         summary = loadgen(bins, work, "churn", daemon.port, CHURN_RATE, seconds, requests_path,
                           ["--pid", str(daemon.proc.pid), "--plan", str(plan),
-                           "--edit-gap", str(CHURN_EDIT_GAP_S),
                            "--epoch-base", str(CHURN_SETUPS)])
         maps.truncate(CHURN_SETUPS + len(summary["edits"]))  # edits left unapplied
         # Sampled final answers: every sentinel plus random keys, after the churn.
@@ -745,9 +788,17 @@ def run_workload(name, args, bins, wanted):
     finally:
         shutil.rmtree(work, ignore_errors=True)
 
+    # A metric the workload should have measured and did not is an error, never a 0.
+    names = [m["name"] for m in wanted]
+    produced = TRACED[name] if args.trace else names
+    missing = sorted(set(produced) - set(figures)) + sorted(set(produced) - set(names))
+    if missing:
+        print("perfbench: %s: metrics not produced or not in BENCHMARK.json: %s"
+              % (name, ", ".join(missing)), file=sys.stderr)
+        return None
     metrics = {}
     for spec_metric in wanted:
-        value = float(figures.get(spec_metric["name"], 0.0))
+        value = float(figures[spec_metric["name"]]) if spec_metric["name"] in produced else 0.0
         metrics[spec_metric["name"]] = {"value": value, "unit": spec_metric["unit"]}
         metric_line(spec_metric["name"], value, spec_metric["unit"])
     failed = int(failed)

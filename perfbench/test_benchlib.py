@@ -1,5 +1,6 @@
 """Tests for the benchmark's own logic.  Run: python3 -m unittest discover perfbench"""
 
+import collections
 import unittest
 
 import benchlib
@@ -91,10 +92,26 @@ class GeneratorTest(unittest.TestCase):
     routes = benchlib.parse_routes(PAPER_ROUTES)
 
     def test_serve_requests_repeat_per_seed(self):
-        first = benchlib.serve_requests(self.routes, 7, 200, fanout_share=0.1)
-        self.assertEqual(first, benchlib.serve_requests(self.routes, 7, 200, fanout_share=0.1))
-        self.assertNotEqual(first, benchlib.serve_requests(self.routes, 8, 200, fanout_share=0.1))
-        self.assertTrue(any(len(r) == 32 for r in first))
+        first = benchlib.serve_requests(self.routes, 7, 200)
+        self.assertEqual(first, benchlib.serve_requests(self.routes, 7, 200))
+        self.assertNotEqual(first, benchlib.serve_requests(self.routes, 8, 200))
+
+    def test_serve_mix_has_the_fixed_shares(self):
+        requests = benchlib.serve_requests(self.routes, 7, 5000)
+        widths = collections.Counter(len(r) for r in requests)
+        self.assertEqual(set(widths), {1, benchlib.SERVE_FANOUT})
+        self.assertAlmostEqual(widths[benchlib.SERVE_FANOUT] / len(requests),
+                               benchlib.SERVE_FANOUT_SHARE, delta=0.005)
+        statuses = collections.Counter(benchlib.lookup(self.routes, d)[0]
+                                       for r in requests for d in r)
+        total = sum(statuses.values())
+        self.assertAlmostEqual(statuses[benchlib.EXACT] / total, benchlib.SERVE_EXACT_SHARE,
+                               delta=0.02)
+        self.assertAlmostEqual(statuses[benchlib.SUFFIX] / total, benchlib.SERVE_SUFFIX_SHARE,
+                               delta=0.02)
+        self.assertAlmostEqual(statuses[benchlib.MISS] / total,
+                               1 - benchlib.SERVE_EXACT_SHARE - benchlib.SERVE_SUFFIX_SHARE,
+                               delta=0.02)
 
     def test_edits_add_a_sentinel_behind_a_plain_host(self):
         files = {"a.map": "unc\tduke(DAILY), research(DEMAND)\nduke\tphs(HOURLY)\n",

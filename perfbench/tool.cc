@@ -2,9 +2,8 @@
 // every subcommand writes its measurements to files run.py reads.
 //
 //   loadgen --port P --requests FILE --rate R --seconds S --out PREFIX
-//           [--timeout-ms T] [--deadline-ms D] [--id-base N] [--epoch-base G]
-//           [--sender-cpu C --receiver-cpu C]
-//           [--pid PID --plan FILE --edit-gap S]
+//           [--id-base N] [--epoch-base G] [--sender-cpu C --receiver-cpu C]
+//           [--pid PID --plan FILE]
 //       open-loop UDP client (see loadgen.h); with --pid, also applies the
 //       edits in --plan to that daemon while the load runs
 //   edit --port P --pid PID --plan FILE --out FILE
@@ -31,8 +30,6 @@ int Loadgen(const Args& args) {
   options.port = static_cast<uint16_t>(std::stoi(args.Get("port")));
   options.rate = std::stod(args.Get("rate"));
   options.seconds = std::stod(args.Get("seconds"));
-  options.timeout_ms = std::stoi(args.Get("timeout-ms", "1000"));
-  options.deadline_ms = std::stoi(args.Get("deadline-ms", "10000"));
   options.id_base = std::stoull(args.Get("id-base", "1"));
   options.epoch_base = static_cast<uint32_t>(std::stoul(args.Get("epoch-base", "0")));
   options.sender_cpu = std::stoi(args.Get("sender-cpu", "-1"));
@@ -40,7 +37,6 @@ int Loadgen(const Args& args) {
   if (args.Has("pid")) {
     options.pid = static_cast<pid_t>(std::stol(args.Get("pid")));
     options.edits = ReadPlan(args.Get("plan"));
-    options.edit_gap_s = std::stod(args.Get("edit-gap"));
   }
   LoadResult result = RunLoad(options, ReadRequests(args.Get("requests")));
   return WriteLoadResult(result, args.Get("out")) ? 0 : 1;
@@ -52,7 +48,7 @@ int EditCommand(const Args& args) {
   std::ofstream out(args.Get("out"), std::ios::trunc);
   std::atomic<uint32_t> signalled{0};
   for (const Edit& edit : ReadPlan(args.Get("plan"))) {
-    EditOutcome outcome = ApplyEdit(port, pid, edit, 1000, 30'000, &signalled);
+    EditOutcome outcome = ApplyEdit(port, pid, edit, &signalled);
     if (outcome.visible_ms < 0) {
       std::cerr << "perfbench_tool: edit of " << edit.target << " never became visible\n";
       return 1;
