@@ -3,11 +3,10 @@
 // the resolver implements.
 //
 // Compares lookup strategies over the full 1986-scale route list — linear scan of the
-// text file's order (what a naive mailer did), the in-memory indexed RouteSet, the
-// on-disk-format cdb image, and the mmap'd .pari frozen image — then measures full
-// address resolution throughput on a realistic mail trace, plus the cold-start cost a
-// mailer pays at the top of every delivery run: parse+re-intern the route text versus
-// open+mmap the frozen image.
+// text file's order (what a naive mailer did), the in-memory indexed RouteSet, and the
+// mmap'd .pari frozen image — then measures full address resolution throughput on a
+// realistic mail trace, plus the cold-start cost a mailer pays at the top of every
+// delivery run: parse+re-intern the route text versus open+mmap the frozen image.
 
 #include <benchmark/benchmark.h>
 
@@ -42,7 +41,6 @@
 #include "src/route_db/resolver.h"
 #include "src/route_db/resolver_impl.h"
 #include "src/route_db/route_db.h"
-#include "src/support/cdb.h"
 #include "src/support/rng.h"
 
 namespace {
@@ -51,8 +49,6 @@ using namespace pathalias;
 
 struct Fixture {
   RouteSet routes;
-  std::string cdb_image;
-  std::unique_ptr<CdbReader> cdb;
   std::string route_text;  // what a mailer re-parses at startup today
   std::string pari_image;  // the frozen equivalent, in memory
   std::string pari_path;   // and on disk, for the mmap cold-start path
@@ -98,8 +94,6 @@ const Fixture& GetFixture() {
     options.print.include_costs = true;
     RunResult result = pathalias::Run(map.files, options, &diag);
     f->routes = RouteSet::FromEntries(result.routes);
-    f->cdb_image = f->routes.ToCdbBuffer();
-    f->cdb = std::make_unique<CdbReader>(*CdbReader::FromBuffer(f->cdb_image));
     f->route_text = f->routes.ToText(/*include_costs=*/true);
     f->pari_image = image::ImageWriter::Freeze(f->routes);
     f->pari_path = (std::filesystem::temp_directory_path() /
@@ -188,22 +182,6 @@ void BM_IndexedLookup(benchmark::State& state) {
     hits = 0;
     for (const std::string& key : f.lookup_keys) {
       if (f.routes.Find(key) != nullptr) {
-        ++hits;
-      }
-    }
-    benchmark::DoNotOptimize(hits);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.lookup_keys.size()));
-  state.counters["hits"] = static_cast<double>(hits);
-}
-
-void BM_CdbLookup(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  size_t hits = 0;
-  for (auto _ : state) {
-    hits = 0;
-    for (const std::string& key : f.lookup_keys) {
-      if (f.cdb->Get(key).has_value()) {
         ++hits;
       }
     }
@@ -665,24 +643,14 @@ ScaledWorkload BuildScaledWorkload(int scale, size_t query_count) {
   return workload;
 }
 
-// --- the domain-sharded mapper at usenet scale ------------------------------
+// --- the mapping pipeline at usenet scale -----------------------------------
 //
-// One row per map size: serial pipeline wall (parse+map+emit), the emission pass
-// alone, and per-shard-count sharded walls with the byte-identity verdict the
-// engine guarantees.  The audit numbers pin the superlinear fix: the indexed
-// inbound tally versus a timed replica of the retired per-candidate link rescan
-// on the same graph.
+// One row per map size: pipeline wall (parse+map+emit) and the emission pass
+// alone.  The audit numbers pin the superlinear fix: the indexed inbound tally
+// versus a timed replica of the retired per-candidate link rescan on the same
+// graph.
 
-struct ShardedMapPoint {
-  int shards = 0;
-  double wall_ms = 0.0;
-  bool identical = false;
-  bool engaged = false;
-  size_t rounds = 0;
-  size_t cross_offers = 0;
-};
-
-struct ShardedMapRow {
+struct ScaleMapRow {
   size_t hosts = 0;
   size_t nodes = 0;
   size_t links = 0;
@@ -690,7 +658,6 @@ struct ShardedMapRow {
   double serial_wall_ms = 0.0;
   double emission_ms = 0.0;
   long peak_rss_kb = 0;
-  std::vector<ShardedMapPoint> points;
 };
 
 struct AuditScaling {
@@ -700,13 +667,10 @@ struct AuditScaling {
   double rescan_reference_ms = 0.0;
 };
 
-ShardedMapRow MeasureShardedMapping(size_t hosts, int map_passes,
-                                    const std::vector<int>& shard_counts,
-                                    AuditScaling* audit) {
+ScaleMapRow MeasureScaleMapping(size_t hosts, int map_passes, AuditScaling* audit) {
   GeneratedMap map = GenerateUsenetMap(MapGenConfig::UsenetScale(static_cast<int>(hosts)));
-  ShardedMapRow row;
+  ScaleMapRow row;
   row.hosts = hosts;
-  std::string serial_output;
   for (int pass = 0; pass < map_passes; ++pass) {
     Diagnostics diag;
     RunOptions options;
@@ -721,7 +685,6 @@ ShardedMapRow MeasureShardedMapping(size_t hosts, int map_passes,
     row.nodes = result.graph->node_count();
     row.links = result.graph->link_count();
     row.route_bytes = result.output.size();
-    serial_output = std::move(result.output);
     if (pass + 1 < map_passes) {
       continue;
     }
@@ -763,28 +726,6 @@ ShardedMapRow MeasureShardedMapping(size_t hosts, int map_passes,
     }
     benchmark::DoNotOptimize(touched);
     audit->rescan_reference_ms = rescan_timer.Ms();
-  }
-  for (int shards : shard_counts) {
-    ShardedMapPoint point;
-    point.shards = shards;
-    for (int pass = 0; pass < map_passes; ++pass) {
-      Diagnostics diag;
-      RunOptions options;
-      options.local = map.local;
-      options.print.include_costs = true;
-      options.shard.shards = shards;
-      bench::WallTimer timer;
-      RunResult result = pathalias::Run(map.files, options, &diag);
-      double ms = timer.Ms();
-      if (pass == 0 || ms < point.wall_ms) {
-        point.wall_ms = ms;
-      }
-      point.identical = result.output == serial_output;
-      point.engaged = result.shard_stats.engaged;
-      point.rounds = result.shard_stats.rounds;
-      point.cross_offers = result.shard_stats.cross_offers;
-    }
-    row.points.push_back(point);
   }
   row.peak_rss_kb = bench::PeakRssKb();
   return row;
@@ -1132,33 +1073,16 @@ void WriteBenchJson() {
     daemon_curve.push_back(bench_daemon::MeasureDaemonOfferedLoad(
         f.pari_path, f.batch_queries, /*clients=*/4, rate, /*requests=*/rate / 2));
   }
-  // The PR-7 residual: shard-parallel ResolveBatch inside a daemon turn.  Same
-  // 32-query closed-loop shape, the daemon's engine at routedbd --threads N.
-  std::vector<bench_daemon::LatencyStats> daemon_threads_grid;
-  for (int threads : {1, 2, 4}) {
-    daemon_threads_grid.push_back(bench_daemon::MeasureDaemonLatency(
-        f.pari_path, f.batch_queries, /*queries_per_request=*/32, /*requests=*/500,
-        threads));
-  }
   long rss_daemon_kb = bench::PeakRssKb();
 
-  // --- the domain-sharded mapper: hosts x shards grid + the million-host point ---
+  // --- the mapping pipeline at usenet scale: 20k, 100k and the million-host map ---
   // Measured last so every earlier section's peak_rss_kb reflects its own phase,
   // not the large maps built here.
   AuditScaling audit_scaling;
-  std::vector<ShardedMapRow> sharded_rows;
-  sharded_rows.push_back(
-      MeasureShardedMapping(20000, /*map_passes=*/2, {1, 2, 4, 8}, nullptr));
-  sharded_rows.push_back(
-      MeasureShardedMapping(100000, /*map_passes=*/2, {1, 2, 4, 8}, &audit_scaling));
-  sharded_rows.push_back(
-      MeasureShardedMapping(1000000, /*map_passes=*/1, {8}, nullptr));
-  bool sharded_all_identical = true;
-  for (const ShardedMapRow& row : sharded_rows) {
-    for (const ShardedMapPoint& point : row.points) {
-      sharded_all_identical = sharded_all_identical && point.identical;
-    }
-  }
+  std::vector<ScaleMapRow> scale_rows;
+  scale_rows.push_back(MeasureScaleMapping(20000, /*map_passes=*/2, nullptr));
+  scale_rows.push_back(MeasureScaleMapping(100000, /*map_passes=*/2, &audit_scaling));
+  scale_rows.push_back(MeasureScaleMapping(1000000, /*map_passes=*/1, nullptr));
 
   std::FILE* out = std::fopen("BENCH_resolver.json", "w");
   if (out == nullptr) {
@@ -1473,26 +1397,6 @@ void WriteBenchJson() {
   std::fprintf(out, "      \"max_ms\": %.4f,\n", daemon_batch32.max_ms);
   std::fprintf(out, "      \"mean_ms\": %.4f\n", daemon_batch32.mean_ms);
   std::fprintf(out, "    },\n");
-  std::fprintf(out, "    \"batch_32_by_engine_threads\": {\n");
-  std::fprintf(out, "      \"note\": \"the PR-7 residual measured: the same 32-query "
-                    "closed-loop requests with the daemon's serving engine sharded "
-                    "across N threads (routedbd --threads N); on a "
-                    "%u-hardware-thread container extra engine threads are pure "
-                    "coordination overhead, which is exactly what this records\",\n",
-               std::thread::hardware_concurrency());
-  std::fprintf(out, "      \"points\": [\n");
-  for (size_t i = 0; i < daemon_threads_grid.size(); ++i) {
-    const bench_daemon::LatencyStats& point = daemon_threads_grid[i];
-    std::fprintf(out,
-                 "        {\"threads\": %d, \"ok\": %s, \"requests\": %zu, "
-                 "\"resolved\": %zu, \"p50_ms\": %.4f, \"p99_ms\": %.4f, "
-                 "\"mean_ms\": %.4f}%s\n",
-                 point.threads, point.ok ? "true" : "false", point.requests,
-                 point.resolved, point.p50_ms, point.p99_ms, point.mean_ms,
-                 i + 1 < daemon_threads_grid.size() ? "," : "");
-  }
-  std::fprintf(out, "      ]\n");
-  std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"open_loop_20k_per_second\": {\n");
   std::fprintf(out, "      \"ok\": %s,\n", daemon_open.ok ? "true" : "false");
   if (!daemon_open.ok) {
@@ -1547,17 +1451,14 @@ void WriteBenchJson() {
   std::fprintf(out, "      ]\n");
   std::fprintf(out, "    }\n");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"sharded_mapping\": {\n");
-  std::fprintf(out, "    \"note\": \"the domain-sharded parallel mapper over mapgen "
-                    "--profile usenet-scale maps: full pipeline wall "
-                    "(parse+graph+map+emit), serial vs --shards N, byte-identity "
-                    "checked per point (all_identical is the CI assertion); the "
-                    "million-host row is the acceptance point and dominates "
-                    "peak_rss_kb; audit_scaling pins the superlinear fix — the "
-                    "indexed inbound tally vs a timed replica of the retired "
-                    "per-candidate link rescan on the same 100k graph\",\n");
-  std::fprintf(out, "    \"hardware_threads\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(out, "    \"all_identical\": %s,\n", sharded_all_identical ? "true" : "false");
+  std::fprintf(out, "  \"usenet_scale_mapping\": {\n");
+  std::fprintf(out, "    \"note\": \"the mapping pipeline over mapgen --profile "
+                    "usenet-scale maps: full pipeline wall (parse+graph+map+emit, "
+                    "best of the passes) and the emission pass alone; the "
+                    "million-host row dominates peak_rss_kb; audit_scaling pins the "
+                    "superlinear fix — the indexed inbound tally vs a timed replica "
+                    "of the retired per-candidate link rescan on the same 100k "
+                    "graph\",\n");
   std::fprintf(out, "    \"audit_scaling\": {\n");
   std::fprintf(out, "      \"hosts\": 100000,\n");
   std::fprintf(out, "      \"links\": %zu,\n", audit_scaling.links);
@@ -1571,8 +1472,8 @@ void WriteBenchJson() {
                    : 0.0);
   std::fprintf(out, "    },\n");
   std::fprintf(out, "    \"rows\": [\n");
-  for (size_t r = 0; r < sharded_rows.size(); ++r) {
-    const ShardedMapRow& row = sharded_rows[r];
+  for (size_t r = 0; r < scale_rows.size(); ++r) {
+    const ScaleMapRow& row = scale_rows[r];
     std::fprintf(out, "      {\n");
     std::fprintf(out, "        \"hosts\": %zu,\n", row.hosts);
     std::fprintf(out, "        \"nodes\": %zu,\n", row.nodes);
@@ -1580,19 +1481,8 @@ void WriteBenchJson() {
     std::fprintf(out, "        \"route_bytes\": %zu,\n", row.route_bytes);
     std::fprintf(out, "        \"serial_wall_ms\": %.1f,\n", row.serial_wall_ms);
     std::fprintf(out, "        \"emission_ms\": %.1f,\n", row.emission_ms);
-    std::fprintf(out, "        \"peak_rss_kb\": %ld,\n", row.peak_rss_kb);
-    std::fprintf(out, "        \"points\": [\n");
-    for (size_t p = 0; p < row.points.size(); ++p) {
-      const ShardedMapPoint& point = row.points[p];
-      std::fprintf(out,
-                   "          {\"shards\": %d, \"wall_ms\": %.1f, \"identical\": %s, "
-                   "\"engaged\": %s, \"rounds\": %zu, \"cross_offers\": %zu}%s\n",
-                   point.shards, point.wall_ms, point.identical ? "true" : "false",
-                   point.engaged ? "true" : "false", point.rounds, point.cross_offers,
-                   p + 1 < row.points.size() ? "," : "");
-    }
-    std::fprintf(out, "        ]\n");
-    std::fprintf(out, "      }%s\n", r + 1 < sharded_rows.size() ? "," : "");
+    std::fprintf(out, "        \"peak_rss_kb\": %ld\n", row.peak_rss_kb);
+    std::fprintf(out, "      }%s\n", r + 1 < scale_rows.size() ? "," : "");
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
@@ -1677,19 +1567,11 @@ void WriteBenchJson() {
   } else {
     std::printf("daemon open-loop latency: FAILED (%s)\n", daemon_open.error.c_str());
   }
-  std::printf("daemon engine threads (32-query requests): ");
-  for (const bench_daemon::LatencyStats& point : daemon_threads_grid) {
-    std::printf("%dT p50 %.0f us%s", point.threads, point.p50_ms * 1000.0,
-                &point == &daemon_threads_grid.back() ? "\n" : ", ");
-  }
-  for (const ShardedMapRow& row : sharded_rows) {
-    std::printf("sharded mapping %zu hosts (%zu nodes, %zu links): serial %.0f ms",
-                row.hosts, row.nodes, row.links, row.serial_wall_ms);
-    for (const ShardedMapPoint& point : row.points) {
-      std::printf(", %d shards %.0f ms (%s)", point.shards, point.wall_ms,
-                  point.identical ? "identical" : "MISMATCH");
-    }
-    std::printf("; peak RSS %.0f MiB\n", static_cast<double>(row.peak_rss_kb) / 1024.0);
+  for (const ScaleMapRow& row : scale_rows) {
+    std::printf("usenet-scale mapping %zu hosts (%zu nodes, %zu links): %.0f ms, "
+                "emission %.0f ms; peak RSS %.0f MiB\n",
+                row.hosts, row.nodes, row.links, row.serial_wall_ms, row.emission_ms,
+                static_cast<double>(row.peak_rss_kb) / 1024.0);
   }
   std::printf("audit at 100k hosts: indexed %.1f ms vs per-candidate rescan %.0f ms "
               "(%zu candidates x %zu links)\n",
@@ -1701,7 +1583,6 @@ void WriteBenchJson() {
 
 BENCHMARK(BM_LinearScanLookup)->Name("lookup/linear_scan")->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_IndexedLookup)->Name("lookup/indexed_set")->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CdbLookup)->Name("lookup/cdb_image")->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ResolveTrace)->Name("resolve_trace/first_hop")->Arg(0)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ResolveTrace)->Name("resolve_trace/rightmost_known")->Arg(1)
@@ -1742,9 +1623,8 @@ int main(int argc, char** argv) {
       "E13: route database retrieval and address resolution",
       "pathalias output converted to a constant DB gives 'rapid database retrieval'; "
       "resolution follows the exact-then-domain-suffix order of the paper");
-  std::printf("route list: %zu routes; cdb image: %zu KiB; frozen .pari image: %zu KiB\n\n",
-              GetFixture().routes.size(), GetFixture().cdb_image.size() / 1024,
-              GetFixture().pari_image.size() / 1024);
+  std::printf("route list: %zu routes; frozen .pari image: %zu KiB\n\n",
+              GetFixture().routes.size(), GetFixture().pari_image.size() / 1024);
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

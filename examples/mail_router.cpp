@@ -31,7 +31,7 @@ int main() {
   options.local = "wolf";
   pathalias::RunResult result = pathalias::RunString(kMap, options, &diag);
 
-  // In production this is `pathalias | routedb build`; in-process it is one call.
+  // In production this is `pathalias | routedb freeze`; in-process it is one call.
   pathalias::RouteSet routes = pathalias::RouteSet::FromEntries(result.routes);
   std::printf("route database (%zu entries):\n%s\n", routes.size(),
               routes.ToText(/*include_costs=*/false).c_str());

@@ -459,14 +459,6 @@ R6_ALLOWED = {
     "tools": None,  # tools are the composition root: may include anything
 }
 
-# File-level exceptions: (including file, included header) edges allowed
-# beyond the matrix, each with a rationale that lives here.
-R6_EXCEPTIONS = {
-    # The sharded mapper borrows only the fork-join pool from exec; the rest of
-    # exec (engines, caches) stays above core.
-    ("src/core/sharded_mapper.cc", "src/exec/thread_pool.h"),
-}
-
 _INCLUDE = re.compile(r'^\s*#\s*include\s*"(src/([a-z_]+)/[^"]+)"')
 
 
@@ -495,8 +487,6 @@ def rule_r6(sf: SourceFile, findings):
             continue
         target = m.group(2)
         if target == layer or target == "support" or target in allowed_layers:
-            continue
-        if (sf.path, m.group(1)) in R6_EXCEPTIONS:
             continue
         emit(findings, sf, idx + 1, "R6",
              f"src/{layer} may not include src/{target} "

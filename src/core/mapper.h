@@ -191,9 +191,6 @@ class Mapper {
 
  private:
   struct PatchState;
-  // The domain-sharded parallel mapper reuses CostOf/taint/syntax plus the private
-  // back-link and final-accounting passes so the two produce identical results.
-  friend class ShardedMapper;
 
   void ApplyTraceRequests();
   PathLabel* MakeLabel(Node* node, uint8_t taint);

@@ -22,14 +22,8 @@ RunResult Run(const std::vector<InputFile>& files, const RunOptions& options,
   }
   result.graph->SetLocal(local);
 
-  if (options.shard.shards > 1) {
-    ShardedMapper mapper(result.graph.get(), options.map, options.shard);
-    result.map = mapper.Run();
-    result.shard_stats = mapper.stats();
-  } else {
-    Mapper mapper(result.graph.get(), options.map);
-    result.map = mapper.Run();
-  }
+  Mapper mapper(result.graph.get(), options.map);
+  result.map = mapper.Run();
   for (const Node* unreachable : result.map.unreachable) {
     diag->Warn(SourcePos{},
                std::string(result.graph->NameOf(unreachable)) + " is unreachable");

@@ -14,7 +14,6 @@
 
 #include "src/core/mapper.h"
 #include "src/core/route_printer.h"
-#include "src/core/sharded_mapper.h"
 #include "src/graph/graph.h"
 #include "src/parser/parser.h"
 #include "src/support/diag.h"
@@ -25,10 +24,6 @@ struct RunOptions {
   Graph::Options graph;
   MapOptions map;
   PrintOptions print;
-  // shard.shards > 1 maps through ShardedMapper (domain-sharded, parallel,
-  // byte-identical output); it falls back to the exact serial mapper on small or
-  // degenerate maps — see RunResult::shard_stats for what actually ran.
-  ShardOptions shard;
   // The local host (Dijkstra source).  Empty [R]: the first host declared in the input,
   // with a note (the original defaulted to the machine's own UUCP name, which would
   // make output depend on where the tool runs).
@@ -40,7 +35,6 @@ struct RunOptions {
 struct RunResult {
   std::unique_ptr<Graph> graph;  // keeps every Node/Link/PathLabel alive
   Mapper::Result map;
-  ShardStats shard_stats;  // meaningful when RunOptions::shard requested sharding
   std::vector<RouteEntry> routes;
   std::string output;  // rendered route list
 };

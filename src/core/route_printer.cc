@@ -24,7 +24,7 @@ bool LabelBefore(const PathLabel* a, const PathLabel* b, const NameInterner& nam
   // Shadow (private) instances share a NameId and can tie on every field above;
   // creation order makes the sort total, so the emitted order is a function of
   // the mapping alone — not of how the labels vector happened to be laid out.
-  // The sharded mapper's byte-identity guarantee rides on this.
+  // A patched mapping's byte-identity with a full run rides on this.
   return a->node->order < b->node->order;
 }
 

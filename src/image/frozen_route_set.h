@@ -91,7 +91,7 @@ class FrozenRouteSet {
 class FrozenImage {
  public:
   // `readahead` forwards to MappedFile::Open — ask for it when the image is about
-  // to serve a bulk batch (routedb's --image paths do), skip it for one-off gets.
+  // to serve a bulk batch (routedb batch does), skip it for one-off gets.
   static std::optional<FrozenImage> Open(
       const std::string& path,
       image::ImageView::Verify verify = image::ImageView::Verify::kStructure,

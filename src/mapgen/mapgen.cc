@@ -364,8 +364,8 @@ class Generator {
 // Generator — backbone mesh, regionals, leaves, nets, domains — but sized from
 // config.scale_hosts, with two structural differences that matter at scale:
 //   * the bulk of hosts are domain members declared FULLY QUALIFIED
-//     (m123.sub.top(0)), so their interner suffix chains exist and the
-//     domain-sharded mapper has a partition key for nearly every node;
+//     (m123.sub.top(0)), so nearly every node sits in a real domain subtree
+//     with an interner suffix chain;
 //   * names are counter-based (the syllable namespace exhausts near ~700k).
 // Domain subtrees carry intra-subdomain UUCP links so each suffix subtree is a
 // genuine subgraph, and a small dual-home rate keeps cross-subtree edges alive.
@@ -619,8 +619,8 @@ class ScaleGenerator {
 
   void MakeAliases() {
     // Aliases over regionals and a slice of domain members; a domain member's
-    // nickname is a FLAT name, so the zero-cost alias edge crosses the
-    // partition — the tie shape the sharded mapper's refusal logic must see.
+    // nickname is a FLAT name, so the zero-cost alias edge crosses from a
+    // domain subtree into the flat namespace.
     for (const std::string& host : map_.regionals) {
       if (rng_.Chance(config_.alias_fraction)) {
         Emit(rng_.Below(file_bodies_.size()), host + " = " + CounterName('a'));

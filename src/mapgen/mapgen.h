@@ -53,8 +53,7 @@ struct MapGenConfig {
   // When scale_hosts > 0 a different generator runs: strata are sized from the
   // total, the bulk of hosts live in domain subtrees and are declared with
   // fully-qualified names (host.sub.top), and names are counter-based so the
-  // syllable namespace never exhausts.  This is the million-host workload the
-  // domain-sharded mapper partitions by suffix subtree.
+  // syllable namespace never exhausts.  This is the million-host workload.
   int scale_hosts = 0;                  // total host target; > 0 engages the profile
   int domain_depth = 3;                 // max subdomain labels under a top-level domain
   int top_domains = 12;                 // independent top-level domain trees

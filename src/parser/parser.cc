@@ -41,11 +41,11 @@ int Parser::ParseFile(const InputFile& file) {
 }
 
 int Parser::ParseFiles(const std::vector<InputFile>& files) {
-  int total = 0;
+  const int before = accepted_;
   for (const InputFile& file : files) {
-    total += ParseFile(file);
+    ParseFile(file);
   }
-  return total;
+  return accepted_ - before;
 }
 
 void Parser::Advance() {

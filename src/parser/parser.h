@@ -40,11 +40,14 @@ class Parser {
   void set_recorder(ParseRecorder* recorder) { recorder_ = recorder; }
 
   // Parses one file through the given scanner.  Errors are reported to the graph's
-  // diagnostics; returns the number of declarations accepted.
+  // diagnostics; returns the number of declarations this parser has accepted so
+  // far, across every file it has parsed.
   int ParseFile(std::string_view file_name, Scanner& scanner);
 
   // Convenience: parse with the production Lexer.
   int ParseFile(const InputFile& file);
+  // Parses every file in order; returns the number of declarations accepted
+  // during this call.
   int ParseFiles(const std::vector<InputFile>& files);
 
   // First host declared across all parsed files: the default local host when the

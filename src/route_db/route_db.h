@@ -2,15 +2,14 @@
 // with mailers).
 //
 // pathalias emits "a simple linear file, in the UNIX tradition"; this module parses
-// that file back into an indexed set, serializes it, and converts it to/from the cdb
-// image for "rapid database retrieval".  The RouteSet is the boundary between the
-// route *generator* (src/core) and the route *consumers* (Resolver, the routedb tool,
-// mailers).
+// that file back into an indexed set and serializes it; src/image freezes a RouteSet
+// into the .pari image for "rapid database retrieval".  The RouteSet is the boundary
+// between the route *generator* (src/core) and the route *consumers* (Resolver, the
+// routedb tool, mailers).
 
 #ifndef SRC_ROUTE_DB_ROUTE_DB_H_
 #define SRC_ROUTE_DB_ROUTE_DB_H_
 
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -78,12 +77,6 @@ class RouteSet {
   // incremental pipeline's golden-equivalence checks compare byte-for-byte (an
   // incrementally patched set and a rebuilt one order their routes_ differently).
   std::string ToSortedText(bool include_costs) const;
-
-  // cdb image: key = host name; value = route, or "cost\troute" when cost is known.
-  std::string ToCdbBuffer() const;
-  static std::optional<RouteSet> FromCdbBuffer(std::string buffer);
-  bool WriteCdbFile(const std::string& path) const;
-  static std::optional<RouteSet> OpenCdbFile(const std::string& path);
 
   // Exact-name lookup; nullptr if absent.  The string_view form hashes once against
   // the interner; the NameId form is a pure array index (the Resolver's batch path).

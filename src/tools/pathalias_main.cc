@@ -15,9 +15,6 @@
 //   --two-label   enable the second-best-path extension (paper §Problems)
 //   --strict-syntax  also penalize LEFT-then-RIGHT syntax mixing
 //   --no-back-links  do not invent reverse links for unreachable hosts
-//   --shards N    map large maps with the domain-sharded parallel mapper (output
-//                 is byte-identical to the serial mapper; small or degenerate
-//                 maps fall back to it automatically)
 //   --incremental DIR  keep per-file parse artifacts in DIR between runs: files
 //                 whose bytes are unchanged since the last run skip the lexer and
 //                 parser entirely (digest match); output is identical to a plain
@@ -26,7 +23,6 @@
 //                 the retained state does not parameterize).
 //   files         map files; "-" or none reads standard input
 
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -44,7 +40,7 @@ namespace {
 void Usage() {
   std::cerr << "usage: pathalias [-c] [-f] [-i] [-v] [-l localname] [-d deadarg] [-t tracearg]\n"
                "                 [-o outfile] [--two-label] [--strict-syntax] [--no-back-links]\n"
-               "                 [--shards N] [--incremental statedir] [files...]\n";
+               "                 [--incremental statedir] [files...]\n";
 }
 
 std::string ReadStream(std::istream& in) {
@@ -96,16 +92,6 @@ int main(int argc, char** argv) {
       options.map.penalize_left_then_right = true;
     } else if (arg == "--no-back-links") {
       options.map.back_links = false;
-    } else if (arg == "--shards") {
-      const char* value = needs_value("--shards");
-      char* end = nullptr;
-      long shards = std::strtol(value, &end, 10);
-      if (end == value || *end != '\0' || shards < 0 || shards > 4096) {
-        std::cerr << "pathalias: --shards needs a small non-negative integer, got '"
-                  << value << "'\n";
-        return 2;
-      }
-      options.shard.shards = static_cast<int>(shards);
     } else if (arg == "--incremental") {
       incremental_dir = needs_value("--incremental");
     } else if (arg == "-h" || arg == "--help") {
@@ -235,19 +221,6 @@ int main(int argc, char** argv) {
 
   if (verbose) {
     const auto& stats = result.map;
-    if (options.shard.shards > 1) {
-      const auto& shard = result.shard_stats;
-      if (shard.engaged) {
-        std::cerr << "pathalias: sharded mapping: " << shard.shards_used << " shards over "
-                  << shard.groups << " domain groups (" << shard.flat_nodes
-                  << " flat nodes, largest shard " << shard.largest_shard_nodes
-                  << " nodes), " << shard.rounds << " rounds, " << shard.cross_offers
-                  << " cross-shard offers\n";
-      } else {
-        std::cerr << "pathalias: sharded mapping fell back to serial: "
-                  << shard.fallback_reason << "\n";
-      }
-    }
     std::cerr << "pathalias: " << result.graph->node_count() << " nodes, "
               << result.graph->link_count() << " links\n"
               << "pathalias: mapped " << stats.mapped_hosts << " hosts ("

@@ -17,7 +17,7 @@
 //
 // Usage:
 //   routedbd --image routes.pari --unix /run/routedb.sock [--udp PORT]
-//            [--map FILE]... [--threads N] [--cache-entries M]
+//            [--map FILE]... [--cache-entries M]
 //            [--max-reply-bytes B] [--replay-entries R] [--replay-bytes B]
 //            [--max-queries-per-turn Q] [--watch-interval MS] [--ready-fd FD]
 //
@@ -48,7 +48,7 @@ namespace {
 
 int Usage() {
   std::cerr << "usage: routedbd --image <routes.pari> [--unix PATH] [--udp PORT]\n"
-               "                [--map FILE]... [--threads N] [--cache-entries M]\n"
+               "                [--map FILE]... [--cache-entries M]\n"
                "                [--max-reply-bytes B] [--replay-entries R]\n"
                "                [--replay-bytes B] [--max-queries-per-turn Q]\n"
                "                [--watch-interval MS] [--ready-fd FD]\n"
@@ -101,10 +101,6 @@ int main(int argc, char** argv) {
       const char* v = value("--map");
       if (v == nullptr) return Usage();
       options.rollover.map_files.emplace_back(v);
-    } else if (arg == "--threads") {
-      const char* v = value("--threads");
-      if (v == nullptr || !ParseUint("--threads", v, 1024, &number)) return Usage();
-      options.rollover.engine.threads = static_cast<int>(number);
     } else if (arg == "--cache-entries") {
       const char* v = value("--cache-entries");
       if (v == nullptr || !ParseUint("--cache-entries", v, uint64_t{1} << 30, &number)) {

@@ -49,6 +49,12 @@ struct ExprCase {
   Cost expected;
 };
 
+// ctest names value-parameterized cases after the printed parameter; the default
+// byte dump would embed the text's load address, which changes from run to run.
+void PrintTo(const ExprCase& c, std::ostream* os) {
+  *os << '\'' << c.text << "' = " << c.expected;
+}
+
 class CostExprTest : public ::testing::TestWithParam<ExprCase> {};
 
 TEST_P(CostExprTest, Evaluates) {

@@ -5,6 +5,7 @@
 #define FIXTURE_R6_CASES_H_
 
 #include "src/core/mapper.h"
+#include "src/exec/thread_pool.h"  // EXPECT-FINDING: R6
 #include "src/graph/graph.h"
 #include "src/net/daemon.h"  // EXPECT-FINDING: R6
 #include "src/parser/parser.h"

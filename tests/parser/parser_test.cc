@@ -254,6 +254,15 @@ TEST_F(ParserTest, AcceptedCountsDeclarations) {
   EXPECT_EQ(accepted, 4);
 }
 
+TEST_F(ParserTest, ParseFilesCountsOnlyThisCallsDeclarations) {
+  Parse("pre\tx(10)\n", "earlier.map");
+  std::vector<InputFile> files{{"one.map", "a\tb(10)\nc = d\n"},
+                               {"two.map", "b\tc(20)\n"},
+                               {"three.map", "NET = {x, y}(5)\ne\tf(1)\n"}};
+  EXPECT_EQ(parser.ParseFiles(files), 5);
+  EXPECT_EQ(parser.ParseFiles({}), 0);
+}
+
 TEST_F(ParserTest, MultipleFilesAccumulate) {
   std::vector<InputFile> files{{"one.map", "a\tb(10)\n"}, {"two.map", "b\tc(20)\n"}};
   parser.ParseFiles(files);
