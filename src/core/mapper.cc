@@ -1,6 +1,9 @@
 #include "src/core/mapper.h"
 
+#include <algorithm>
+#include <climits>
 #include <optional>
+#include <unordered_map>
 
 #include "src/support/binary_heap.h"
 
@@ -32,6 +35,21 @@ struct LabelIndexHook {
   static void SetIndex(PathLabel* label, int32_t index) { label->heap_index = index; }
   static int32_t GetIndex(const PathLabel* label) { return label->heap_index; }
 };
+
+// Marks a popped label final.  The first (hence cheapest) label extracted for its
+// node reports the node's route.
+void Settle(PathLabel* label, uint8_t pass) {
+  label->mapped = true;
+  label->pass = pass;
+  Node* node = label->node;
+  if (node->cost == kUnreached) {
+    label->best = true;
+    node->cost = label->cost;
+    node->hops = label->hops;
+    node->parent = label->parent != nullptr ? label->parent->node : nullptr;
+    node->parent_link = label->via;
+  }
+}
 
 }  // namespace
 
@@ -274,6 +292,22 @@ size_t Mapper::InventBackLinks(Result& result) {
   return invented;
 }
 
+void Mapper::Drain(MapperHeap& heap, Result& result, std::vector<PathLabel*>* settled) {
+  auto pass = static_cast<uint8_t>(std::min<size_t>(result.back_link_passes, UCHAR_MAX));
+  while (!heap.empty()) {
+    PathLabel* label = heap.PopMin();
+    ++result.heap_pops;
+    ++result.mapped_labels;
+    Settle(label, pass);
+    if (settled != nullptr) {
+      settled->push_back(label);
+    }
+    for (Link* link = label->node->links; link != nullptr; link = link->next) {
+      Relax(*label, *link, heap, result);
+    }
+  }
+}
+
 Mapper::Result Mapper::Run() {
   Result result;
   result.names = &graph_->names();
@@ -340,28 +374,7 @@ Mapper::Result Mapper::Run() {
   heap->Push(root);
   ++result.heap_pushes;
 
-  auto drain = [&] {
-    while (!heap->empty()) {
-      PathLabel* label = heap->PopMin();
-      ++result.heap_pops;
-      label->mapped = true;
-      ++result.mapped_labels;
-      Node* node = label->node;
-      if (node->cost == kUnreached) {
-        // First (hence cheapest) label extracted for this node: it reports the route.
-        label->best = true;
-        node->cost = label->cost;
-        node->hops = label->hops;
-        node->parent = label->parent != nullptr ? label->parent->node : nullptr;
-        node->parent_link = label->via;
-      }
-      for (Link* link = node->links; link != nullptr; link = link->next) {
-        Relax(*label, *link, *heap, result);
-      }
-    }
-  };
-
-  drain();
+  Drain(*heap, result);
   if (options_.back_links) {
     while (result.back_link_passes < static_cast<size_t>(options_.max_back_link_passes)) {
       size_t invented = InventBackLinks(result);
@@ -384,7 +397,7 @@ Mapper::Result Mapper::Run() {
           }
         }
       }
-      drain();
+      Drain(*heap, result);
     }
   }
 
@@ -400,7 +413,11 @@ Mapper::Result Mapper::Run() {
 // --- incremental patching ------------------------------------------------------
 
 struct Mapper::PatchState {
-  std::vector<uint8_t> dirty;  // by node->order
+  // Per node, by node->order: kDirty once its route may have changed (phase 1 also
+  // recomputes its label), kListed once phase 2 has listed it as unreached.
+  static constexpr uint8_t kDirty = 1;
+  static constexpr uint8_t kListed = 2;
+  std::vector<uint8_t> marks;
   std::vector<Node*> dirty_nodes;
   std::vector<PathLabel*> stack;  // DirtySubtree scratch
   bool reopened = false;
@@ -416,11 +433,17 @@ struct Mapper::PatchState {
   }
 
   bool IsDirty(const Node* node) const {
-    return static_cast<size_t>(node->order) < dirty.size() && dirty[node->order] != 0;
+    return static_cast<size_t>(node->order) < marks.size() && (marks[node->order] & kDirty) != 0;
   }
   void MarkDirty(Node* node) {
-    dirty[node->order] = 1;
+    marks[node->order] |= kDirty;
     dirty_nodes.push_back(node);
+  }
+  // True the first time it is called for `node`.
+  bool MarkListed(const Node* node) {
+    bool first = (marks[node->order] & kListed) == 0;
+    marks[node->order] |= kListed;
+    return first;
   }
 };
 
@@ -467,8 +490,8 @@ void Mapper::DirtySubtree(Node* node, PatchState& state) {
 void Mapper::PatchRelax(PathLabel& from, Link& link, MapperHeap& heap, Result& result,
                         PatchState& state) {
   Node* to = link.to;
-  if (to->deleted() || from.node->deleted()) {
-    return;
+  if (to->deleted() || from.node->deleted() || link.invented()) {
+    return;  // phase 1 maps over declared links only; phase 2 owns the invented ones
   }
   ++result.relaxations;
   uint32_t penalty_bits = 0;
@@ -641,7 +664,8 @@ void Mapper::PatchRelax(PathLabel& from, Link& link, MapperHeap& heap, Result& r
 std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
                                                 std::span<Node* const> dirty_seeds,
                                                 std::string* why) {
-  auto refuse = [why](const char* reason) -> std::nullopt_t {
+  auto refuse = [this, why](const char* reason) -> std::nullopt_t {
+    result_ = nullptr;
     if (why != nullptr) {
       *why = reason;
     }
@@ -658,8 +682,8 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
   if (result.names != &graph_->names()) {
     return refuse("retained result belongs to another graph");
   }
-  if (graph_->invented_link_count() > 0) {
-    return refuse("graph holds invented back links");
+  if (result.back_link_passes > 1) {
+    return refuse("previous run used more than one back-link pass");
   }
   for (Node* seed : dirty_seeds) {
     if (seed == local) {
@@ -669,15 +693,27 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
 
   result_ = &result;
   PatchState state;
-  state.dirty.assign(graph_->node_count(), 0);
+  state.marks.assign(graph_->node_count(), 0);
 
-  // Rebuild the old tree's child lists (the route printer may have left its own).
+  // Rebuild the first drain's tree as child lists (the route printer may have left
+  // its own).  Labels a back-link pass settled stay out of it and are cleared
+  // instead: phase 2 recomputes every one of them, and phase 1 must see what a fresh
+  // Run's first drain sees, which never reaches them.
+  std::vector<const PathLabel*> old_back;  // in label order, for determinism
+  std::unordered_map<const Node*, const PathLabel*> old_back_of;
   for (PathLabel* label : result.labels) {
     label->child = nullptr;
     label->sibling = nullptr;
   }
   for (PathLabel* label : result.labels) {
-    if (label->mapped && label->parent != nullptr) {
+    if (!label->mapped) {
+      continue;
+    }
+    if (label->pass > 0) {
+      old_back.push_back(label);
+      old_back_of.emplace(label->node, label);
+      ResetMappingState(label->node);
+    } else if (label->parent != nullptr) {
       label->sibling = label->parent->child;
       label->parent->child = label;
     }
@@ -687,21 +723,11 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
     DirtySubtree(seed, state);
   }
 
-  // Outside the dirty region every label is reused as-is, so the previous result
-  // must have been complete there: an unreached clean host means the previous run
-  // needed back links (or this graph was never mapped) — global, so bail.  Inside
-  // the region unreached is the starting state; the post-drain check below decides.
-  for (Node* node : graph_->nodes()) {
-    if (!node->deleted() && !node->placeholder() && node->cost == kUnreached &&
-        !state.IsDirty(node)) {
-      result_ = nullptr;
-      return refuse("previous result left hosts unreachable");
-    }
-  }
-
   LabelLess less{&graph_->names(), options_.prefer_fewer_hops};
   MapperHeap heap(less);
 
+  // --- phase 1: the first drain, over declared links ---
+  //
   // Alternate boundary seeding and draining until no drain reopens clean territory.
   // Seeding relaxes every clean final label across the boundary into the dirty
   // region; the drain is Run's extraction loop with the patch relaxation rule.
@@ -729,35 +755,131 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
     while (!heap.empty() && state.refusal == nullptr) {
       PathLabel* label = heap.PopMin();
       ++result.heap_pops;
-      label->mapped = true;
-      Node* node = label->node;
-      if (node->cost == kUnreached) {
-        label->best = true;
-        node->cost = label->cost;
-        node->hops = label->hops;
-        node->parent = label->parent != nullptr ? label->parent->node : nullptr;
-        node->parent_link = label->via;
-      }
-      for (Link* link = node->links; link != nullptr; link = link->next) {
+      Settle(label, 0);
+      for (Link* link = label->node->links; link != nullptr; link = link->next) {
         PatchRelax(*label, *link, heap, result, state);
       }
     }
   } while (state.reopened && state.refusal == nullptr);
 
   if (state.refusal != nullptr) {
-    result_ = nullptr;
     return refuse(state.refusal);
   }
 
-  // A real host left unreached would need the back-link fixpoint — global, so bail.
-  for (Node* node : state.dirty_nodes) {
-    if (!node->deleted() && !node->placeholder() && node->cost == kUnreached) {
-      result_ = nullptr;
-      return refuse("patched region ends unreachable");
+  // --- phase 2: the back-link pass, redone from scratch ---
+  if (options_.back_links && options_.max_back_link_passes > 0) {
+    // The hosts phase 1 left unreached.  Only old unreachable or back-link-reached
+    // hosts and phase-1 dirty nodes can be: every other label is clean and final.
+    std::vector<Node*> unreached;
+    auto list = [&](Node* node) {
+      if (!node->deleted() && !node->placeholder() && node->cost == kUnreached &&
+          state.MarkListed(node)) {
+        unreached.push_back(node);
+      }
+    };
+    for (Node* node : result.unreachable) {
+      list(node);
+    }
+    for (const PathLabel* label : old_back) {
+      list(label->node);
+    }
+    for (Node* node : state.dirty_nodes) {
+      list(node);
+    }
+
+    // A fresh Run invents one link per link out of an unreached host into the
+    // mapped region.  The graph must hold exactly those, as the previous run
+    // invented them: then the edit left the back links as they were.
+    std::vector<std::pair<PathLabel*, Link*>> back_links;  // (source label, link)
+    for (Node* node : unreached) {
+      for (Link* link = node->links; link != nullptr; link = link->next) {
+        Node* neighbor = link->to;
+        if (link->alias() || link->dead() || link->invented() || neighbor->deleted() ||
+            neighbor->cost == kUnreached) {
+          continue;
+        }
+        Link* back = graph_->FindLink(neighbor, node);
+        if (back == nullptr || !back->invented() || back->cost != link->cost ||
+            back->op != link->op || back->right_syntax() != link->right_syntax()) {
+          return refuse("edit changes the invented back links");
+        }
+        back_links.emplace_back(neighbor->label[0], back);
+      }
+    }
+    if (back_links.size() != graph_->invented_link_count()) {
+      return refuse("edit changes the invented back links");
+    }
+
+    // Re-relax them as Run does.  Run visits sources in node order and keeps the
+    // first of equal candidates; a patched graph's node order need not be a fresh
+    // build's, so a host whose cheapest candidates tie refuses.  The list holds each
+    // host's candidates together.
+    for (size_t begin = 0, end = 0; begin < back_links.size(); begin = end) {
+      Node* host = back_links[begin].second->to;
+      Cost best_cost = 0;
+      int32_t best_hops = 0;
+      size_t at_best = 0;
+      for (end = begin; end < back_links.size() && back_links[end].second->to == host; ++end) {
+        auto [source, link] = back_links[end];
+        Cost cost = CostOf(*source, *link);
+        int32_t hops = source->hops + 1;
+        if (at_best == 0 || cost < best_cost || (cost == best_cost && hops < best_hops)) {
+          best_cost = cost;
+          best_hops = hops;
+          at_best = 1;
+        } else if (cost == best_cost && hops == best_hops) {
+          ++at_best;
+        }
+      }
+      if (at_best > 1) {
+        return refuse("tied invented-link candidates into a back-linked host");
+      }
+      for (size_t i = begin; i < end; ++i) {
+        Relax(*back_links[i].first, *back_links[i].second, heap, result);
+      }
+    }
+    std::vector<PathLabel*> settled;  // in pop order: parents before children
+    Drain(heap, result, &settled);
+
+    // Run invents again when a host still unreached links into the mapped region.
+    for (Node* node : unreached) {
+      if (node->cost != kUnreached) {
+        continue;
+      }
+      for (Link* link = node->links; link != nullptr; link = link->next) {
+        if (!link->alias() && !link->dead() && !link->invented() && !link->to->deleted() &&
+            link->to->cost != kUnreached) {
+          return refuse("patch would need a second back-link pass");
+        }
+      }
+    }
+
+    // Report the back-link-reached nodes whose routes may have changed: a label that
+    // is new or differs from the old one, or whose parent's route may have changed.
+    for (PathLabel* label : settled) {
+      Node* node = label->node;
+      if (state.IsDirty(node)) {
+        continue;
+      }
+      auto it = old_back_of.find(node);
+      const PathLabel* old = it != old_back_of.end() ? it->second : nullptr;
+      bool same = old != nullptr && old->parent->node == label->parent->node &&
+                  old->via == label->via && old->cost == label->cost &&
+                  old->hops == label->hops && old->taint == label->taint &&
+                  old->penalties == label->penalties && old->has_left == label->has_left &&
+                  old->has_right == label->has_right;
+      if (!same || state.IsDirty(label->parent->node)) {
+        state.MarkDirty(node);
+      }
+    }
+    for (const PathLabel* old : old_back) {
+      if (old->node->label[0] == nullptr && !state.IsDirty(old->node)) {
+        state.MarkDirty(old->node);  // no longer reached: its route goes
+      }
     }
   }
 
-  // Rebuild the label list from the nodes (dropping the discarded dirty labels) and
+  // Rebuild the label list from the nodes (dropping the discarded labels) and
   // recompute the aggregates the labels feed.
   result.labels.clear();
   for (Node* node : graph_->nodes()) {

@@ -74,6 +74,8 @@ struct PathLabel {
   bool best = false;  // provides its node's reported cost/route
   bool has_left = false;
   bool has_right = false;
+  // Which drain settled the label: 0 for the first, k for back-link pass k.
+  uint8_t pass = 0;
   // Shortest-path-tree child list, built by the route printer.
   PathLabel* child = nullptr;
   PathLabel* sibling = nullptr;
@@ -146,11 +148,19 @@ class Mapper {
   // adjust-edited, or an incident in-link added/removed/recosted/reflagged).  On
   // success the result is updated in place — labels, routes and statistics exactly
   // as a from-scratch Run() on the edited graph would produce them — and the return
-  // value lists every node whose label was recomputed (seeds, their old
-  // shortest-path-tree subtrees, and any region the edits improved into).  Returns
-  // nullopt when the patch cannot be applied exactly (`why`, when non-null, says
-  // which gate refused); the caller must then fall back to a full Run() (on a fresh
-  // graph: a failed patch leaves mapping state partially reset).
+  // value lists every node whose route may have changed: the seeds, their old
+  // shortest-path-tree subtrees, any region the edits improved into, and the
+  // back-link-reached nodes whose labels changed.  Returns nullopt when the patch
+  // cannot be applied exactly (`why`, when non-null, says which gate refused); the
+  // caller must then fall back to a full Run() (on a fresh graph: a failed patch
+  // leaves mapping state partially reset).
+  //
+  // The patch mirrors Run's two phases.  Phase 1 patches the first drain: it
+  // recomputes the dirty region over declared links only, so invented links and the
+  // labels of back-link-reached nodes are never relaxed there.  Phase 2 then redoes
+  // the back-link pass from scratch, as Run does: it re-relaxes the invented links
+  // from their (final) sources and drains.  Only the back-link-reached nodes take
+  // part in phase 2, and maps hold few of them.
   //
   // Exactness rests on the drain order being a pure function of the graph, which
   // holds under these gates (checked here; any miss returns nullopt):
@@ -158,11 +168,21 @@ class Mapper {
   //     prefer_fewer_hops makes every non-alias relaxation strictly increase
   //     (cost, hops), so extraction is monotone in (cost, hops) and a popped label
   //     is never beaten by a strictly better later candidate;
-  //   * no invented back links and no unreachable hosts in the previous result, and
-  //     none created by the patch (back-link invention is a global fixpoint);
-  //   * the local host is not a seed.
-  // Within the region, ties between equal-(cost, hops) candidates from distinct
-  // parents are resolved to the parent a full Run() provably elects:
+  //   * the local host is not a seed;
+  //   * the previous run used at most one back-link pass;
+  //   * the invented links a fresh Run would make for the edited graph are exactly
+  //     the ones the graph holds: same endpoints, same cost and syntax.  They follow
+  //     from which hosts phase 1 leaves unreached and from those hosts' links, so an
+  //     edit that reaches a back-linked host over a declared path, changes a link out
+  //     of an unreached host into the reached region, or deletes an invented link's
+  //     endpoint refuses;
+  //   * no back-link-reached host has its best invented-link candidates tie on
+  //     (cost, hops) from different sources — Run keeps the first in node order, and
+  //     a patched graph's node order need not match a fresh build's;
+  //   * no host phase 2 leaves unreached has a link into the mapped region — Run
+  //     would then start a second back-link pass.
+  // Within the phase-1 region, ties between equal-(cost, hops) candidates from
+  // distinct parents are resolved to the parent a full Run() provably elects:
   //   * parents at different (cost, hops) — the lexicographically smaller parent
   //     popped (hence relaxed) first in the full run, so it wins;
   //   * parents at equal (cost, hops), neither of which was reached over an alias
@@ -175,8 +195,9 @@ class Mapper {
   // cannot change the winner), so aliases are allowed; but a tie whose winner
   // depends on alias-warped pop order — either side arriving over an alias edge, or
   // equal-(cost, hops) parents one of which was reached over one — cannot be
-  // resolved locally, and the patch refuses ("ambiguous alias tie").  The fuzz
-  // harness drives alias-bearing maps through this path per edit.
+  // resolved locally, and the patch refuses ("ambiguous alias tie").  Phase 2 needs
+  // no such rule: it replays Run's own drain over the same heap contents.  The fuzz
+  // harness drives alias- and back-link-bearing maps through this path per edit.
   std::optional<std::vector<Node*>> Patch(Result& result, std::span<Node* const> dirty_seeds,
                                           std::string* why = nullptr);
 
@@ -195,6 +216,11 @@ class Mapper {
   void ApplyTraceRequests();
   PathLabel* MakeLabel(Node* node, uint8_t taint);
   void Relax(PathLabel& from, Link& link, struct MapperHeap& heap, Result& result);
+  // Run's extraction loop: pops until the heap is empty, settling each label for the
+  // current back-link pass and relaxing its links.  Appends the popped labels to
+  // `settled` when non-null.
+  void Drain(struct MapperHeap& heap, Result& result,
+             std::vector<PathLabel*>* settled = nullptr);
   void PatchRelax(PathLabel& from, Link& link, struct MapperHeap& heap, Result& result,
                   PatchState& state);
   // Marks `node` and its old shortest-path-tree subtree dirty, resetting their

@@ -145,11 +145,10 @@ bool Printable(const PathLabel& label) {
 std::vector<RouteEntry> RoutePrinter::Build() {
   std::vector<RouteEntry> entries;
   entries.reserve(map_->mapped_hosts);
-  // Attach each mapped label to its parent's child list.  Pushing in ascending
-  // order leaves every child list descending, which is exactly the order the
-  // traversal wants to push frames (cheapest child ends up on top of the stack)
-  // — no per-node child buffer or reversal on the emission path.
-  std::vector<PathLabel*> mapped;
+  // Attach each mapped label to its parent's child list, then order each sibling
+  // list descending: the order the traversal wants to push frames (the cheapest
+  // child ends up on top of the stack).  Only the order among siblings is ever
+  // used, so sorting per parent does less work than sorting every label at once.
   const PathLabel* root = nullptr;
   for (PathLabel* label : map_->labels) {
     label->child = nullptr;
@@ -163,15 +162,27 @@ std::vector<RouteEntry> RoutePrinter::Build() {
       root = label;
       continue;
     }
-    mapped.push_back(label);
-  }
-  const NameInterner& names = *map_->names;
-  std::sort(mapped.begin(), mapped.end(), [&names](const PathLabel* a, const PathLabel* b) {
-    return LabelBefore(a, b, names);
-  });
-  for (PathLabel* label : mapped) {
     label->sibling = label->parent->child;
     label->parent->child = label;
+  }
+  const NameInterner& names = *map_->names;
+  std::vector<PathLabel*> siblings;
+  for (PathLabel* parent : map_->labels) {
+    if (parent->child == nullptr || parent->child->sibling == nullptr) {
+      continue;
+    }
+    siblings.clear();
+    for (PathLabel* child = parent->child; child != nullptr; child = child->sibling) {
+      siblings.push_back(child);
+    }
+    std::sort(siblings.begin(), siblings.end(), [&names](const PathLabel* a, const PathLabel* b) {
+      return LabelBefore(a, b, names);
+    });
+    parent->child = nullptr;
+    for (PathLabel* child : siblings) {  // pushing in ascending order leaves it descending
+      child->sibling = parent->child;
+      parent->child = child;
+    }
   }
   if (root == nullptr) {
     return entries;

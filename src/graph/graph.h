@@ -149,8 +149,8 @@ class Graph {
   std::span<Node* const> nodes() const { return nodes_; }
   size_t node_count() const { return nodes_.size(); }
   size_t link_count() const { return link_count_; }
-  // Links carrying kLinkInvented (back links).  Maintained so Mapper::Patch's
-  // no-invented-links gate is O(1) instead of a full adjacency rescan per update.
+  // Links carrying kLinkInvented (back links).  Maintained so Mapper::Patch can
+  // check that it found every invented link without rescanning all adjacency.
   size_t invented_link_count() const { return invented_link_count_; }
 
   Arena& arena() { return arena_; }

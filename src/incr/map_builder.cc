@@ -641,6 +641,15 @@ bool MapBuilder::TryPatch(const std::vector<size_t>& changed_indices,
     Node* from = intern_node(from_id);
     Node* to = intern_node(to_id);
     Link* existing = graph_->FindLink(from, to);
+    if (existing != nullptr && existing->invented()) {
+      // The mapper owns invented back links.  A declaration landing on one gives the
+      // back-linked host a declared inbound path, which changes the back links.
+      if (state.present) {
+        *why = "edit declares a link the mapper invented as a back link";
+        return false;
+      }
+      continue;  // declared neither before nor now (e.g. an ignored dead {a!b})
+    }
     uint32_t decl_flags = (state.dead ? kLinkDead : 0u) |
                           (state.gateway ? kLinkGateway : 0u) |
                           (state.net_member ? kLinkNetMember : 0u);
@@ -671,9 +680,8 @@ bool MapBuilder::TryPatch(const std::vector<size_t>& changed_indices,
       if (to != graph_->local()) {
         seed(to);
       }
-      // A node the patch just created (or revived) has no label yet; it must enter
-      // the dirty region so the drain maps it — or refuses, matching the back-link
-      // fixpoint a rebuild would run.
+      // A node with no label yet (new, revived, or unreachable) must enter the dirty
+      // region: the drain maps it, or the mapper's back-link phase accounts for it.
       if (from->label[0] == nullptr) {
         seed(from);
       }

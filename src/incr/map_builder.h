@@ -16,9 +16,10 @@
 //      net-member link flags, terminal/deleted/gatewayed host flags, adjust sums)
 //      are recomputed across all files; the live graph is patched (links added,
 //      removed, recosted, reflagged; alias edges added/removed; host state set;
-//      nodes retired/revived), Mapper::Patch recomputes just the affected region,
-//      RoutePrinter::BuildEntryFor regenerates just the dirty routes, and
-//      RouteSet::ApplyDelta swaps them in;
+//      nodes retired/revived), Mapper::Patch recomputes just the affected region
+//      and redoes the back-link pass, RoutePrinter::BuildEntryFor regenerates the
+//      routes of the dirty nodes and of the back-link-reached nodes whose labels
+//      changed, and RouteSet::ApplyDelta swaps them in;
 //   3. replay rebuild — otherwise the retained artifacts replay into a fresh graph
 //      (skipping the lexer for every unchanged file) and the map/emit phases run in
 //      full; the resulting entries still land through ApplyDelta, so route-set
@@ -29,7 +30,11 @@
 // the randomized-edit fuzz test enforces this per edit.  The patch path is forced
 // back to a replay rebuild whenever a gate it depends on fails; the reasons surface
 // in UpdateStats::rebuild_reason and are documented in the README ("when a full
-// rebuild is still forced").
+// rebuild is still forced").  Besides the gates above and Mapper::Patch's own (an
+// edit that changes the invented back links, a second back-link pass, tied
+// invented-link candidates), the builder refuses a changed file that declares a
+// net or private names, a default-local change, a deleted or orphaned local host,
+// a display-name collision, and a declaration of a link the mapper invented.
 //
 // Cache coherence: dirty_route_ids() after each update is exactly the set of route
 // keys whose bytes changed, in the RouteSet's stable interner space — what a serving

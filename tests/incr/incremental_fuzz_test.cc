@@ -5,13 +5,16 @@
 // adds/removes, non-plain declarations the patch path must now absorb IN PLACE
 // (aliases, dead hosts/links, adjust biases, gatewayed nets with gateways), and
 // occasional net/private declarations that still force the replay-rebuild path.
+// A seeded share of hosts is one-way (outbound links only) and stays unreachable by
+// declared links, so the maps carry invented back links through every edit.
 // After EVERY edit the MapBuilder's route set must be byte-identical (canonical
 // name-sorted form) to a from-scratch pipeline over the edited inputs; periodically
 // the refrozen .pari image and the sharded batch engine (serial and --threads) are
-// held to the same standard.  Three path-coverage assertions keep the property
-// non-vacuous: the patch path, the fallback path, AND patched updates that applied
+// held to the same standard.  Four path-coverage assertions keep the property
+// non-vacuous: the patch path, the fallback path, patched updates that applied
 // alias/dead/gateway/adjust edits (if those all silently fell back, the lifted
-// gates would be untested).
+// gates would be untested), and patched updates over a graph holding invented
+// back links.
 
 #include <gtest/gtest.h>
 
@@ -147,6 +150,11 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
   for (int i = 0; i < kFiles; ++i) {
     model.files.push_back(FileModel{"site" + std::to_string(i) + ".map", {}, {}});
   }
+  // One-way hosts declare outbound links only; the heal below leaves them
+  // unreachable while one of those links reaches the mapped region, so a rebuild
+  // invents a back link for each (paper §Back links).
+  std::unordered_set<std::string> one_way;
+  auto pick_one_way = [&] { return rng.Below(6) == 0; };
   std::vector<std::pair<int, int>> host_index;  // (file, host) of every declared host
   for (int i = 0; i < kInitialHosts; ++i) {
     std::string name = model.NewHostName();
@@ -154,12 +162,17 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
     model.files[file].hosts.push_back(HostModel{name, {}});
     host_index.emplace_back(file, static_cast<int>(model.files[file].hosts.size()) - 1);
     if (i > 0) {
-      // Two-way attachment to a random earlier host keeps the map connected.
+      // Attachment to a random earlier host keeps the map connected: two-way, or
+      // one-way onto a two-way host.
       auto [pf, ph] = host_index[rng.Below(static_cast<uint64_t>(i))];
       HostModel& parent = model.files[pf].hosts[ph];
       Cost cost = static_cast<Cost>(10 + rng.Below(500));
       model.files[file].hosts.back().links.push_back(LinkModel{parent.name, cost});
-      parent.links.push_back(LinkModel{name, static_cast<Cost>(10 + rng.Below(500))});
+      if (pick_one_way() && !one_way.contains(parent.name)) {
+        one_way.insert(name);
+      } else {
+        parent.links.push_back(LinkModel{name, static_cast<Cost>(10 + rng.Below(500))});
+      }
     }
   }
   const std::string local = "h0";
@@ -177,6 +190,7 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
   size_t patched_updates = 0;
   size_t rebuild_updates = 0;
   size_t patched_alias_updates = 0;  // patched updates that applied non-plain edits
+  size_t patched_back_link_updates = 0;  // patched updates over invented back links
   constexpr int kSteps = 140;
   for (int step = 0; step < kSteps; ++step) {
     std::vector<std::string> changed_names;  // model files to re-render
@@ -217,7 +231,7 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         touch(*file);
         break;
       }
-      case 3: {  // add a host (with a two-way attachment)
+      case 3: {  // add a host (with a two-way or one-way attachment)
         FileModel* anchor_file = random_hosted_file();
         if (anchor_file == nullptr) {
           break;
@@ -230,9 +244,13 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         FileModel& target = random_file();
         target.hosts.push_back(HostModel{
             name, {LinkModel{anchor_name, static_cast<Cost>(5 + rng.Below(300))}}});
+        touch(target);
+        if (pick_one_way() && !one_way.contains(anchor_name)) {
+          one_way.insert(name);
+          break;
+        }
         anchor_file->hosts[anchor_index].links.push_back(
             LinkModel{name, static_cast<Cost>(5 + rng.Below(300))});
-        touch(target);
         touch(*anchor_file);
         break;
       }
@@ -276,6 +294,9 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         }
         std::string from = host.name;
         std::string to = model.NewHostName();
+        if (one_way.erase(from) > 0) {
+          one_way.insert(to);
+        }
         for (FileModel& other : model.files) {
           bool touched = false;
           for (HostModel& candidate : other.hosts) {
@@ -420,10 +441,10 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
       }
     }
 
-    // Heal: re-attach any declared host the edit disconnected.  Permanent
-    // unreachability would ratchet the builder into rebuild-forever (back links are
-    // a global fixpoint), starving the patch path; transient unreachability is
-    // covered by the dedicated unit test.
+    // Heal: re-attach any declared host the edit disconnected, except one-way hosts
+    // with a link straight into the reached region.  Those get one back-link pass;
+    // a host reachable only through another unreachable host would need a second,
+    // which the patch refuses, so it is healed too.
     {
       std::unordered_map<std::string, std::vector<std::string>> outgoing;
       std::vector<std::string> declared;
@@ -451,8 +472,16 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         }
       };
       expand();
+      std::unordered_set<std::string> reached_by_declared = reached;
       for (const std::string& name : declared) {
         if (reached.contains(name)) {
+          continue;
+        }
+        if (one_way.contains(name) &&
+            std::any_of(outgoing[name].begin(), outgoing[name].end(),
+                        [&](const std::string& target) {
+                          return reached_by_declared.contains(target);
+                        })) {
           continue;
         }
         for (FileModel& file : model.files) {  // graft onto the local host's decl
@@ -482,6 +511,10 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
     if (stats.patched && (stats.alias_edits > 0 || stats.link_flag_edits > 0 ||
                           stats.host_state_edits > 0 || stats.region_has_aliases)) {
       ++patched_alias_updates;
+    }
+    // dirty_nodes > 0: Mapper::Patch ran (no-op updates return before it).
+    if (stats.patched && stats.dirty_nodes > 0 && builder.graph()->invented_link_count() > 0) {
+      ++patched_back_link_updates;
     }
 
     std::vector<InputFile> rendered = model.RenderAll();
@@ -547,6 +580,8 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
   EXPECT_GT(rebuild_updates, 0u) << "fallback path never exercised";
   EXPECT_GT(patched_alias_updates, 0u)
       << "no alias/dead/gateway/adjust edit took the patch path";
+  EXPECT_GT(patched_back_link_updates, 0u)
+      << "no patched update ran over a graph holding invented back links";
   fs::remove(image_path);
 }
 

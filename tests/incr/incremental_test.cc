@@ -465,6 +465,116 @@ TEST_F(MapBuilderPatchTest, UnreachableRegionForcesRebuild) {
   ExpectGolden(builder, files);
 }
 
+TEST_F(MapBuilderPatchTest, RecostOverBackLinkedLeafPatches) {
+  // leafc only calls out, so it is reached over a back link far invents for it.
+  // Recosting far's inbound link moves far's label, so the patch must redo the
+  // back-link pass; an edit elsewhere leaves leafc's route alone.
+  std::vector<InputFile> files = {
+      {"core.map", "hub\tmid(100), far(400)\n"},
+      {"mid.map", "mid\thub(100), leafa(50), leafb(60)\n"},
+      {"far.map", "far\thub(400)\nleafc\tfar(10)\n"},
+  };
+  MapBuilder builder(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_EQ(builder.graph()->invented_link_count(), 1u);
+  ASSERT_EQ(builder.routes().Find("leafc")->cost, 410);
+
+  files[0].content = "hub\tmid(100), far(200)\n";
+  UpdateStats stats = builder.Update({files[0]});
+  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  EXPECT_EQ(builder.graph()->invented_link_count(), 1u);
+  EXPECT_EQ(builder.routes().Find("leafc")->cost, 210);
+  ExpectGolden(builder, files);
+
+  files[1].content = "mid\thub(100), leafa(70), leafb(60)\n";
+  stats = builder.Update({files[1]});
+  EXPECT_TRUE(stats.patched) << stats.rebuild_reason;
+  EXPECT_EQ(stats.routes_changed, 1u);  // leafa only
+  ExpectGolden(builder, files);
+}
+
+TEST_F(MapBuilderPatchTest, DeclaredPathIntoBackLinkedHostRefuses) {
+  // Once leafc gains a declared inbound link, a rebuild reaches it in the first
+  // drain and invents nothing: the back links change, so the patch refuses.
+  std::vector<InputFile> files = {
+      {"core.map", "hub\tmid(100), far(400)\n"},
+      {"mid.map", "mid\thub(100), leafa(50), leafb(60)\n"},
+      {"far.map", "far\thub(400)\nleafc\tfar(10)\n"},
+  };
+  MapBuilder builder(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_EQ(builder.graph()->invented_link_count(), 1u);
+
+  files[1].content = "mid\thub(100), leafa(50), leafb(60), leafc(5)\n";
+  UpdateStats stats = builder.Update({files[1]});
+  EXPECT_FALSE(stats.patched);
+  EXPECT_NE(stats.rebuild_reason.find("invented back links"), std::string::npos)
+      << stats.rebuild_reason;
+  ExpectGolden(builder, files);
+  EXPECT_EQ(builder.graph()->invented_link_count(), 0u);
+
+  // Back to one-way, then declare the very link far's back link stands in for.
+  files[1].content = "mid\thub(100), leafa(50), leafb(60)\n";
+  stats = builder.Update({files[1]});
+  ExpectGolden(builder, files);
+  ASSERT_EQ(builder.graph()->invented_link_count(), 1u);
+  files[2].content = "far\thub(400), leafc(10)\nleafc\tfar(10)\n";
+  stats = builder.Update({files[2]});
+  EXPECT_FALSE(stats.patched);
+  EXPECT_NE(stats.rebuild_reason.find("invented as a back link"), std::string::npos)
+      << stats.rebuild_reason;
+  ExpectGolden(builder, files);
+}
+
+TEST_F(MapBuilderPatchTest, TiedBackLinkCandidatesRefuse) {
+  // leafc calls p1 and p2 at equal cost, and both sit at (10, 1): its two back-link
+  // candidates tie, and a full run keeps the one whose source comes first in node
+  // order, which a patched graph does not reproduce.
+  std::vector<InputFile> files = {
+      {"f0.map", "hub\tp1(10), p2(10)\n"},
+      {"f1.map", "p1\thub(10)\np2\thub(10)\n"},
+      {"f2.map", "leafc\tp2(20), p1(20)\n"},
+  };
+  MapBuilder builder(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_EQ(builder.graph()->invented_link_count(), 2u);
+
+  files[0].content = "hub\tp1(10), p2(10), p3(50)\n";
+  UpdateStats stats = builder.Update({files[0]});
+  EXPECT_FALSE(stats.patched);
+  EXPECT_NE(stats.rebuild_reason.find("tied invented-link candidates"), std::string::npos)
+      << stats.rebuild_reason;
+  ExpectGolden(builder, files);
+}
+
+TEST_F(MapBuilderPatchTest, SecondBackLinkPassRefuses) {
+  // leafc is back-linked from mid; leafd calls only ghost, which nothing reaches.
+  // Once leafd also calls leafc, a full run needs a second back-link pass (leafd
+  // reaches the map only through leafc), which the patch does not redo.
+  std::vector<InputFile> files = {
+      {"core.map", "hub\tmid(100)\nmid\thub(100)\n"},
+      {"leaves.map", "leafc\tmid(10)\nleafd\tghost(10)\n"},
+  };
+  MapBuilder builder(MapBuilderOptions{.local = "hub"});
+  ASSERT_TRUE(builder.Build(files));
+  ASSERT_EQ(builder.map().back_link_passes, 1u);
+
+  files[1].content = "leafc\tmid(10)\nleafd\tghost(10), leafc(10)\n";
+  UpdateStats stats = builder.Update({files[1]});
+  EXPECT_FALSE(stats.patched);
+  EXPECT_NE(stats.rebuild_reason.find("second back-link pass"), std::string::npos)
+      << stats.rebuild_reason;
+  ExpectGolden(builder, files);
+  ASSERT_EQ(builder.map().back_link_passes, 2u);
+
+  files[0].content = "hub\tmid(80)\nmid\thub(100)\n";
+  stats = builder.Update({files[0]});
+  EXPECT_FALSE(stats.patched);
+  EXPECT_NE(stats.rebuild_reason.find("more than one back-link pass"), std::string::npos)
+      << stats.rebuild_reason;
+  ExpectGolden(builder, files);
+}
+
 TEST_F(MapBuilderPatchTest, DefaultLocalTracksFirstHost) {
   // No explicit local: the first declared host is the source, and an edit that
   // changes it forces a rebuild rooted at the new source.
