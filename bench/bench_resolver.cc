@@ -3,10 +3,11 @@
 // the resolver implements.
 //
 // Compares lookup strategies over the full 1986-scale route list — linear scan of the
-// text file's order (what a naive mailer did), the in-memory indexed RouteSet, and the
-// mmap'd .pari frozen image — then measures full address resolution throughput on a
-// realistic mail trace, plus the cold-start cost a mailer pays at the top of every
-// delivery run: parse+re-intern the route text versus open+mmap the frozen image.
+// text file's order (what a naive mailer did) and the in-memory indexed RouteSet —
+// then measures address resolution throughput against the frozen .pari image (the
+// one form routes are resolved from) on a realistic mail trace and a mixed batch,
+// plus the cold-start cost a mailer pays at the top of every delivery run: parse,
+// re-intern and freeze the route text versus open+mmap the image file.
 
 #include <benchmark/benchmark.h>
 
@@ -31,15 +32,15 @@
 
 #include "bench/bench_util.h"
 #include "bench/daemon_latency.h"
+#include "src/baseline/scalar_resolve.h"
 #include "src/core/pathalias.h"
 #include "src/core/route_printer.h"
-#include "src/graph/audit.h"
 #include "src/exec/batch_engine.h"
+#include "src/exec/resolver.h"
+#include "src/graph/audit.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
-#include "src/route_db/resolver.h"
-#include "src/route_db/resolver_impl.h"
 #include "src/route_db/route_db.h"
 #include "src/support/rng.h"
 
@@ -48,12 +49,11 @@ namespace {
 using namespace pathalias;
 
 struct Fixture {
-  RouteSet routes;
-  std::string route_text;  // what a mailer re-parses at startup today
-  std::string pari_image;  // the frozen equivalent, in memory
+  RouteSet routes;         // the mapper's output, as the image is frozen from it
+  std::string route_text;  // what a text-reading mailer re-parses at startup
+  std::optional<FrozenImage> image;  // the frozen equivalent, in memory
   std::string pari_path;   // and on disk, for the mmap cold-start path
-  std::optional<image::ImageView> frozen_view;
-  std::unique_ptr<FrozenRouteSet> frozen;
+  const FrozenRouteSet& frozen() const { return image->routes(); }
   std::vector<std::string> trace;
   std::vector<std::string> lookup_keys;
   // The batch workload: N mixed queries — known hosts, strangers under known domains
@@ -95,28 +95,15 @@ const Fixture& GetFixture() {
     RunResult result = pathalias::Run(map.files, options, &diag);
     f->routes = RouteSet::FromEntries(result.routes);
     f->route_text = f->routes.ToText(/*include_costs=*/true);
-    f->pari_image = image::ImageWriter::Freeze(f->routes);
+    f->image = FrozenImage::Freeze(f->routes);
     f->pari_path = (std::filesystem::temp_directory_path() /
                     ("bench_resolver." + std::to_string(getpid()) + ".pari"))
                        .string();
-    {
-      std::FILE* out = std::fopen(f->pari_path.c_str(), "wb");
-      if (out == nullptr ||
-          std::fwrite(f->pari_image.data(), 1, f->pari_image.size(), out) !=
-              f->pari_image.size() ||
-          std::fclose(out) != 0) {
-        std::fprintf(stderr, "cannot write %s\n", f->pari_path.c_str());
-        std::abort();
-      }
-    }
     std::string error;
-    f->frozen_view =
-        image::ImageView::Adopt(f->pari_image, image::ImageView::Verify::kChecksum, &error);
-    if (!f->frozen_view.has_value()) {
-      std::fprintf(stderr, "frozen image failed validation: %s\n", error.c_str());
+    if (!image::ImageWriter::WriteFile(f->routes, f->pari_path, 0, &error)) {
+      std::fprintf(stderr, "cannot write %s: %s\n", f->pari_path.c_str(), error.c_str());
       std::abort();
     }
-    f->frozen = std::make_unique<FrozenRouteSet>(*f->frozen_view);
     f->trace = GenerateAddressTrace(map, 2000, 424242);
     for (size_t i = 0; i < f->routes.routes().size(); i += 7) {
       f->lookup_keys.push_back(std::string(f->routes.NameOf(f->routes.routes()[i])));
@@ -196,7 +183,7 @@ void BM_ResolveTrace(benchmark::State& state) {
   ResolveOptions options;
   options.optimize = state.range(0) != 0 ? ResolveOptions::Optimize::kRightmostKnown
                                          : ResolveOptions::Optimize::kFirstHop;
-  Resolver resolver(&f.routes, options);
+  Resolver resolver(&f.frozen(), options);
   size_t resolved = 0;
   for (auto _ : state) {
     resolved = 0;
@@ -213,11 +200,11 @@ void BM_ResolveTrace(benchmark::State& state) {
 }
 
 // The tentpole case: interner-keyed batch resolution.  N mixed host/domain/miss
-// queries resolved through Resolver::ResolveBatch — one hash per query, then pure
-// id-chasing, zero per-query string allocations.
+// queries resolved through Resolver::ResolveBatch against the frozen image — one
+// hash per query, then pure id-chasing, zero per-query string allocations.
 void BM_BatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -235,13 +222,13 @@ void BM_BatchResolve(benchmark::State& state) {
 // pure memory-level parallelism.
 void BM_PipelinedBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   const size_t window = static_cast<size_t>(state.range(0));
   size_t resolved = 0;
   for (auto _ : state) {
     resolved = window == 0
-                   ? resolver.ResolveBatchScalar(f.batch_queries, results)
+                   ? ResolveBatchScalar(resolver, f.batch_queries, results)
                    : resolver.ResolveBatchPipelined(f.batch_queries, results, window);
     benchmark::DoNotOptimize(results.data());
   }
@@ -332,28 +319,13 @@ class CacheMissCounter {
   int fd_ = -1;
 };
 
-// The same mixed batch against the mmap'd frozen image: FrozenResolver chases ids
-// through the image's probe table and suffix chains in place.
-void BM_FrozenBatchResolve(benchmark::State& state) {
-  const Fixture& f = GetFixture();
-  FrozenResolver resolver(f.frozen.get(), ResolveOptions{});
-  std::vector<BatchLookup> results(f.batch_queries.size());
-  size_t resolved = 0;
-  for (auto _ : state) {
-    resolved = resolver.ResolveBatch(f.batch_queries, results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * f.batch_queries.size()));
-  state.counters["resolved"] = static_cast<double>(resolved);
-}
-
 // The sharded engine over the same mixed batch: partition by destination hash, one
 // shard per thread, deterministic merge-back.  Arg(0) is the thread count.
 void BM_ParallelBatchResolve(benchmark::State& state) {
   const Fixture& f = GetFixture();
   exec::BatchEngineOptions options;
   options.threads = static_cast<int>(state.range(0));
-  exec::BatchEngine engine(&f.routes, options);
+  exec::BatchEngine engine(&f.frozen(), options);
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -372,7 +344,7 @@ void BM_HotSetBatchResolve(benchmark::State& state) {
   std::vector<std::string_view> queries = f.HotSetQueries(static_cast<int>(state.range(0)));
   exec::BatchEngineOptions options;
   options.cache_entries = static_cast<size_t>(state.range(1));
-  exec::BatchEngine engine(&f.routes, options);
+  exec::BatchEngine engine(&f.frozen(), options);
   std::vector<BatchLookup> results(queries.size());
   size_t resolved = 0;
   for (auto _ : state) {
@@ -385,14 +357,15 @@ void BM_HotSetBatchResolve(benchmark::State& state) {
 }
 
 // Cold start, the consumer-scale pain the image exists to remove: what a mailer pays
-// before its first resolve.  The parse path re-parses the linear route file and
-// re-interns every key; the image path opens + mmaps + validates and resolves in place.
+// before its first resolve.  The parse path re-parses the linear route file,
+// re-interns every key and freezes the result in memory (the resolver reads only
+// images); the image path opens + mmaps + validates and resolves in place.
 void BM_ColdStartParseIntern(benchmark::State& state) {
   const Fixture& f = GetFixture();
   size_t ok = 0;
   for (auto _ : state) {
-    RouteSet routes = RouteSet::FromText(f.route_text);
-    Resolver resolver(&routes, ResolveOptions{});
+    FrozenImage image = FrozenImage::Freeze(RouteSet::FromText(f.route_text));
+    Resolver resolver(&image.routes(), ResolveOptions{});
     std::string_view key;
     if (resolver.Lookup(f.lookup_keys.front(), &key).ok()) {
       ++ok;
@@ -411,7 +384,7 @@ void BM_ColdStartImageOpen(benchmark::State& state) {
       state.SkipWithError("cannot open the frozen image");
       return;
     }
-    FrozenResolver resolver(&opened->routes(), ResolveOptions{});
+    Resolver resolver(&opened->routes(), ResolveOptions{});
     std::string_view key;
     if (resolver.Lookup(f.lookup_keys.front(), &key).ok()) {
       ++ok;
@@ -736,7 +709,7 @@ ScaleMapRow MeasureScaleMapping(size_t hosts, int map_passes, AuditScaling* audi
 // container) recorded alongside so the comparison travels with the repo.
 void WriteBenchJson() {
   const Fixture& f = GetFixture();
-  Resolver resolver(&f.routes, ResolveOptions{});
+  Resolver resolver(&f.frozen(), ResolveOptions{});
   std::vector<BatchLookup> results(f.batch_queries.size());
   size_t resolved = 0;
   size_t suffix_matches = 0;
@@ -773,7 +746,7 @@ void WriteBenchJson() {
   constexpr int kPipePasses = 7;
   for (int pass = 0; pass < kPipePasses; ++pass) {
     bench::WallTimer scalar_timer;
-    pipe_scalar_resolved = resolver.ResolveBatchScalar(f.batch_queries, scalar_results);
+    pipe_scalar_resolved = ResolveBatchScalar(resolver, f.batch_queries, scalar_results);
     double ms = scalar_timer.Ms();
     if (pass == 0 || ms < pipe_scalar_best_ms) {
       pipe_scalar_best_ms = ms;
@@ -823,7 +796,7 @@ void WriteBenchJson() {
   double pipelined_misses_per_lookup = 0.0;
   if (miss_counter.available()) {
     miss_counter.Start();
-    resolver.ResolveBatchScalar(f.batch_queries, scalar_results);
+    ResolveBatchScalar(resolver, f.batch_queries, scalar_results);
     scalar_misses_per_lookup = static_cast<double>(miss_counter.Stop()) /
                                static_cast<double>(f.batch_queries.size());
     miss_counter.Start();
@@ -840,7 +813,8 @@ void WriteBenchJson() {
   // The 4x-scale point: same workload shape over a ~4x map, where the probe
   // path outgrows L2 and the window has real latency to hide.
   ScaledWorkload scaled = BuildScaledWorkload(4, f.batch_queries.size());
-  Resolver scaled_resolver(&scaled.routes, ResolveOptions{});
+  FrozenImage scaled_image = FrozenImage::Freeze(scaled.routes);
+  Resolver scaled_resolver(&scaled_image.routes(), ResolveOptions{});
   std::vector<BatchLookup> scaled_results(scaled.queries.size());
   double scaled_scalar_ms = 0.0;
   double scaled_pipe_ms = 0.0;
@@ -848,7 +822,7 @@ void WriteBenchJson() {
   size_t scaled_pipe_resolved = 0;
   for (int pass = 0; pass < 3; ++pass) {
     bench::WallTimer scalar_timer;
-    scaled_scalar_resolved = scaled_resolver.ResolveBatchScalar(scaled.queries, scaled_results);
+    scaled_scalar_resolved = ResolveBatchScalar(scaled_resolver, scaled.queries, scaled_results);
     double ms = scalar_timer.Ms();
     if (pass == 0 || ms < scaled_scalar_ms) {
       scaled_scalar_ms = ms;
@@ -900,49 +874,25 @@ void WriteBenchJson() {
   }
   long rss_repeat_scan_kb = bench::PeakRssKb();
 
-  // The same batch against the mmap'd frozen image.
-  FrozenResolver frozen_resolver(f.frozen.get(), ResolveOptions{});
-  size_t frozen_resolved = 0;
-  double frozen_best_ms = 0.0;
-  for (int pass = 0; pass < kPasses; ++pass) {
-    bench::WallTimer timer;
-    frozen_resolved = frozen_resolver.ResolveBatch(f.batch_queries, results);
-    double ms = timer.Ms();
-    if (pass == 0 || ms < frozen_best_ms) {
-      frozen_best_ms = ms;
-    }
-  }
-  double frozen_qps = static_cast<double>(f.batch_queries.size()) / (frozen_best_ms / 1000.0);
-  long rss_frozen_kb = bench::PeakRssKb();
-
-  // The sharded engine's scaling curve, both backends, cache off: same workload,
-  // same expected counts, threads 1/2/4/8.
+  // The sharded engine's scaling curve, cache off: same workload, same expected
+  // counts, threads 1/2/4/8.
   struct ScalingPoint {
     int threads;
-    double live_ms;
-    double frozen_ms;
-    size_t live_resolved;
-    size_t frozen_resolved;
+    double ms;
+    size_t resolved;
   };
   std::vector<ScalingPoint> scaling;
   for (int threads : {1, 2, 4, 8}) {
-    ScalingPoint point{threads, 0.0, 0.0, 0, 0};
+    ScalingPoint point{threads, 0.0, 0};
     exec::BatchEngineOptions options;
     options.threads = threads;
-    exec::BatchEngine live_engine(&f.routes, options);
-    exec::FrozenBatchEngine frozen_engine(f.frozen.get(), options);
+    exec::BatchEngine engine(&f.frozen(), options);
     for (int pass = 0; pass < kPasses; ++pass) {
-      bench::WallTimer live_timer;
-      point.live_resolved = live_engine.ResolveBatch(f.batch_queries, results);
-      double ms = live_timer.Ms();
-      if (pass == 0 || ms < point.live_ms) {
-        point.live_ms = ms;
-      }
-      bench::WallTimer frozen_timer;
-      point.frozen_resolved = frozen_engine.ResolveBatch(f.batch_queries, results);
-      ms = frozen_timer.Ms();
-      if (pass == 0 || ms < point.frozen_ms) {
-        point.frozen_ms = ms;
+      bench::WallTimer timer;
+      point.resolved = engine.ResolveBatch(f.batch_queries, results);
+      double ms = timer.Ms();
+      if (pass == 0 || ms < point.ms) {
+        point.ms = ms;
       }
     }
     scaling.push_back(point);
@@ -968,10 +918,10 @@ void WriteBenchJson() {
     SweepPoint point{hot_permille, 0.0, 0.0, 0.0, 0, 0};
     std::vector<std::string_view> queries = f.HotSetQueries(hot_permille);
     exec::BatchEngineOptions off_options;
-    exec::BatchEngine off_engine(&f.routes, off_options);
+    exec::BatchEngine off_engine(&f.frozen(), off_options);
     exec::BatchEngineOptions on_options;
     on_options.cache_entries = kSweepCacheEntries;
-    exec::BatchEngine on_engine(&f.routes, on_options);
+    exec::BatchEngine on_engine(&f.frozen(), on_options);
     for (int pass = 0; pass < kPasses; ++pass) {
       bench::WallTimer off_timer;
       point.off_resolved = off_engine.ResolveBatch(queries, results);
@@ -991,16 +941,16 @@ void WriteBenchJson() {
   }
   long rss_sweep_kb = bench::PeakRssKb();
 
-  // Cold start: parse+intern the route text vs open+mmap the image, each through its
-  // first resolve, best of kPasses.
+  // Cold start: parse+intern+freeze the route text vs open+mmap the image, each
+  // through its first resolve, best of kPasses.
   double parse_ms = 0.0;
   double image_ms = 0.0;
   for (int pass = 0; pass < kPasses; ++pass) {
     std::string_view key;
     bench::WallTimer parse_timer;
     {
-      RouteSet routes = RouteSet::FromText(f.route_text);
-      Resolver cold(&routes, ResolveOptions{});
+      FrozenImage image = FrozenImage::Freeze(RouteSet::FromText(f.route_text));
+      Resolver cold(&image.routes(), ResolveOptions{});
       cold.Lookup(f.lookup_keys.front(), &key);
     }
     double ms = parse_timer.Ms();
@@ -1014,7 +964,7 @@ void WriteBenchJson() {
         std::fprintf(stderr, "cannot reopen %s\n", f.pari_path.c_str());
         std::abort();
       }
-      FrozenResolver cold(&opened->routes(), ResolveOptions{});
+      Resolver cold(&opened->routes(), ResolveOptions{});
       cold.Lookup(f.lookup_keys.front(), &key);
     }
     ms = image_timer.Ms();
@@ -1036,7 +986,7 @@ void WriteBenchJson() {
 
   // Single-query path for the same trace the legacy benchmark uses.
   ResolveOptions single_options;
-  Resolver single(&f.routes, single_options);
+  Resolver single(&f.frozen(), single_options);
   size_t trace_resolved = 0;
   bench::WallTimer trace_timer;
   for (const std::string& address : f.trace) {
@@ -1209,16 +1159,6 @@ void WriteBenchJson() {
   }
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
-  std::fprintf(out, "  \"frozen_batch_resolve\": {\n");
-  std::fprintf(out, "    \"note\": \"same %zu-query batch via FrozenResolver over the "
-                    "mmap'd .pari image\",\n", f.batch_queries.size());
-  std::fprintf(out, "    \"resolved\": %zu,\n", frozen_resolved);
-  std::fprintf(out, "    \"best_wall_ms\": %.3f,\n", frozen_best_ms);
-  std::fprintf(out, "    \"queries_per_second\": %.0f,\n", frozen_qps);
-  std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_frozen_kb);
-  std::fprintf(out, "    \"matches_live_resolved\": %s\n",
-               frozen_resolved == resolved ? "true" : "false");
-  std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"parallel_batch\": {\n");
   std::fprintf(out, "    \"note\": \"sharded batch engine (src/exec), cache off: "
                     "partition by destination hash, one shard per thread, output "
@@ -1231,24 +1171,17 @@ void WriteBenchJson() {
   for (size_t i = 0; i < scaling.size(); ++i) {
     const auto& point = scaling[i];
     std::fprintf(out,
-                 "      {\"threads\": %d, \"live_best_wall_ms\": %.3f, "
-                 "\"live_queries_per_second\": %.0f, \"frozen_best_wall_ms\": %.3f, "
-                 "\"frozen_queries_per_second\": %.0f, \"resolved\": %zu, "
+                 "      {\"threads\": %d, \"best_wall_ms\": %.3f, "
+                 "\"queries_per_second\": %.0f, \"resolved\": %zu, "
                  "\"matches_serial_resolved\": %s}%s\n",
-                 point.threads, point.live_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.live_ms / 1000.0),
-                 point.frozen_ms,
-                 static_cast<double>(f.batch_queries.size()) / (point.frozen_ms / 1000.0),
-                 point.live_resolved,
-                 (point.live_resolved == resolved && point.frozen_resolved == frozen_resolved)
-                     ? "true"
-                     : "false",
+                 point.threads, point.ms,
+                 static_cast<double>(f.batch_queries.size()) / (point.ms / 1000.0),
+                 point.resolved, point.resolved == resolved ? "true" : "false",
                  i + 1 < scaling.size() ? "," : "");
   }
   std::fprintf(out, "    ],\n");
   std::fprintf(out, "    \"speedup_8_threads_vs_1\": %.2f\n",
-               scaling.back().live_ms > 0.0 ? scaling.front().live_ms / scaling.back().live_ms
-                                            : 0.0);
+               scaling.back().ms > 0.0 ? scaling.front().ms / scaling.back().ms : 0.0);
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cache_sweep\": {\n");
   std::fprintf(out, "    \"note\": \"hot-set workloads (hot_permille/1000 of queries "
@@ -1276,12 +1209,14 @@ void WriteBenchJson() {
   std::fprintf(out, "    ]\n");
   std::fprintf(out, "  },\n");
   std::fprintf(out, "  \"cold_start\": {\n");
-  std::fprintf(out, "    \"note\": \"startup through first resolve: parse+intern the "
-                    "route text vs open+mmap+validate the frozen image; best of %d\",\n",
+  std::fprintf(out, "    \"note\": \"startup through first resolve: parse+intern+freeze "
+                    "the route text in memory vs open+mmap+validate the image file; best "
+                    "of %d\",\n",
                kPasses);
   std::fprintf(out, "    \"routes\": %zu,\n", f.routes.size());
   std::fprintf(out, "    \"peak_rss_kb\": %ld,\n", rss_cold_start_kb);
-  std::fprintf(out, "    \"image_bytes\": %zu,\n", f.pari_image.size());
+  std::fprintf(out, "    \"image_bytes\": %llu,\n",
+               static_cast<unsigned long long>(f.image->view().header().file_size));
   std::fprintf(out, "    \"parse_intern_ms\": %.3f,\n", parse_ms);
   std::fprintf(out, "    \"image_open_ms\": %.3f,\n", image_ms);
   std::fprintf(out, "    \"speedup\": %.1f\n", image_ms > 0.0 ? parse_ms / image_ms : 0.0);
@@ -1509,13 +1444,12 @@ void WriteBenchJson() {
               pipe_matches_all ? "byte-identical" : "MISMATCH",
               scaled_scalar_ms, scaled_pipe_ms,
               scaled_pipe_ms > 0.0 ? scaled_scalar_ms / scaled_pipe_ms : 0.0);
-  std::printf("frozen image: %.2fM queries/s steady-state; cold start %.3f ms vs "
-              "%.3f ms parse+intern (%.1fx)\n",
-              frozen_qps / 1e6, image_ms, parse_ms, image_ms > 0.0 ? parse_ms / image_ms : 0.0);
+  std::printf("cold start: image open %.3f ms vs %.3f ms parse+intern+freeze (%.1fx)\n",
+              image_ms, parse_ms, image_ms > 0.0 ? parse_ms / image_ms : 0.0);
   std::printf("parallel engine (%u hardware threads): ", std::thread::hardware_concurrency());
   for (const auto& point : scaling) {
     std::printf("%dT %.1fM q/s%s", point.threads,
-                static_cast<double>(f.batch_queries.size()) / point.live_ms / 1000.0,
+                static_cast<double>(f.batch_queries.size()) / point.ms / 1000.0,
                 point.threads == 8 ? "\n" : ", ");
   }
   for (const auto& point : sweep) {
@@ -1600,9 +1534,6 @@ BENCHMARK(BM_HasRepeatedHostSet)
     ->Name("reply_path/has_repeated_host_set")
     ->Arg(2)->Arg(8)->Arg(24)
     ->Unit(benchmark::kNanosecond);
-BENCHMARK(BM_FrozenBatchResolve)
-    ->Name("resolve_batch/frozen_image_1e6")
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ParallelBatchResolve)
     ->Name("resolve_batch/sharded")
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)
@@ -1623,8 +1554,10 @@ int main(int argc, char** argv) {
       "E13: route database retrieval and address resolution",
       "pathalias output converted to a constant DB gives 'rapid database retrieval'; "
       "resolution follows the exact-then-domain-suffix order of the paper");
-  std::printf("route list: %zu routes; frozen .pari image: %zu KiB\n\n",
-              GetFixture().routes.size(), GetFixture().pari_image.size() / 1024);
+  std::printf("route list: %zu routes; frozen .pari image: %llu KiB\n\n",
+              GetFixture().routes.size(),
+              static_cast<unsigned long long>(GetFixture().image->view().header().file_size /
+                                              1024));
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

@@ -11,7 +11,8 @@
 
 #include <cstdio>
 
-#include "src/route_db/headers.h"
+#include "src/exec/headers.h"
+#include "src/image/frozen_route_set.h"
 
 namespace {
 
@@ -24,12 +25,14 @@ void Show(const char* title, const std::string& message) {
 int main() {
   using namespace pathalias;
 
-  // cbosgd's route database (what pathalias computed there).
+  // cbosgd's route database (what pathalias computed there), frozen into the image
+  // a mailer reads.
   RouteSet routes;
   routes.Add("princeton", "princeton!%s");
   routes.Add("seismo", "seismo!%s");
   routes.Add("mcvax", "seismo!mcvax!%s");
-  Resolver resolver(&routes, ResolveOptions{});
+  FrozenImage image = FrozenImage::Freeze(routes);
+  Resolver resolver(&image.routes(), ResolveOptions{});
 
   // 1. mark composes mail on cbosgd.  The user typed the short forms; the originating
   //    host expands them to full database routes, and qualifies the return path —

@@ -10,7 +10,8 @@
 #include <cstdio>
 
 #include "src/core/pathalias.h"
-#include "src/route_db/resolver.h"
+#include "src/exec/resolver.h"
+#include "src/image/frozen_route_set.h"
 #include "src/route_db/route_db.h"
 
 int main() {
@@ -31,14 +32,15 @@ int main() {
   options.local = "wolf";
   pathalias::RunResult result = pathalias::RunString(kMap, options, &diag);
 
-  // In production this is `pathalias | routedb freeze`; in-process it is one call.
+  // In production this is `pathalias | routedb freeze`; in-process it is two calls.
   pathalias::RouteSet routes = pathalias::RouteSet::FromEntries(result.routes);
   std::printf("route database (%zu entries):\n%s\n", routes.size(),
               routes.ToText(/*include_costs=*/false).c_str());
+  pathalias::FrozenImage image = pathalias::FrozenImage::Freeze(routes);
 
   pathalias::ResolveOptions resolve_options;
   resolve_options.optimize = pathalias::ResolveOptions::Optimize::kRightmostKnown;
-  pathalias::Resolver resolver(&routes, resolve_options);
+  pathalias::Resolver resolver(&image.routes(), resolve_options);
 
   const char* destinations[] = {
       "phs!honey",                      // plain known host

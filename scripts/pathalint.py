@@ -451,11 +451,15 @@ R6_ALLOWED = {
     "core": {"graph", "parser"},
     "route_db": {"graph", "core"},
     "image": {"graph", "route_db"},
-    "exec": {"route_db", "image"},
+    # exec -> core: Resolver::Resolve splices the user into a route with
+    # RoutePrinter::SpliceUser, the printer's own %s rule.
+    "exec": {"core", "route_db", "image"},
     "incr": {"graph", "parser", "core", "route_db"},
     "net": {"parser", "exec", "image", "incr"},
     "mapgen": {"parser"},
-    "baseline": {"graph", "parser", "core"},
+    # baseline -> exec: the scalar resolve loop is the oracle the pipelined
+    # Resolver is compared against, so it is written over that Resolver.
+    "baseline": {"graph", "parser", "core", "exec"},
     "tools": None,  # tools are the composition root: may include anything
 }
 

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 
-#include "src/image/frozen_route_set.h"
-#include "src/route_db/resolver.h"
-
 namespace pathalias {
 namespace exec {
 
-template <typename RouteSource>
-BasicBatchEngine<RouteSource>::BasicBatchEngine(const RouteSource* routes,
-                                                BatchEngineOptions options)
+BatchEngine::BatchEngine(const FrozenRouteSet* routes, BatchEngineOptions options)
     : routes_(routes),
       options_(options),
       resolver_(routes, options.resolve),
@@ -30,11 +25,9 @@ BasicBatchEngine<RouteSource>::BasicBatchEngine(const RouteSource* routes,
   shard_resolved_.resize(static_cast<size_t>(shards_));
 }
 
-template <typename RouteSource>
-BasicBatchEngine<RouteSource>::~BasicBatchEngine() = default;
+BatchEngine::~BatchEngine() = default;
 
-template <typename RouteSource>
-uint32_t BasicBatchEngine<RouteSource>::ShardOf(std::string_view host) const {
+uint32_t BatchEngine::ShardOf(std::string_view host) const {
   // FNV-1a, folded to match the interner's normalization so "Duke" and "duke" shard
   // together exactly when they intern together.
   uint32_t hash = 2166136261u;
@@ -52,32 +45,10 @@ uint32_t BasicBatchEngine<RouteSource>::ShardOf(std::string_view host) const {
          static_cast<uint32_t>(shards_);
 }
 
-template <typename RouteSource>
-void BasicBatchEngine<RouteSource>::ResolveOneInto(std::string_view host,
-                                                   ResultCache* cache,
-                                                   BatchLookup* out) const {
-  NameId id = routes_->names().Find(host);
-  if (id == kNoName) {
-    *out = resolver_.LookupStranger(host);
-    return;
-  }
-  if (cache == nullptr) {
-    *out = resolver_.LookupInterned(id);
-    return;
-  }
-  if (cache->Get(id, out)) {
-    return;  // the stored result IS LookupInterned(id), negative outcomes included
-  }
-  *out = resolver_.LookupInterned(id);
-  cache->Put(id, *out);
-}
-
-template <typename RouteSource>
 template <typename IndexFn>
-size_t BasicBatchEngine<RouteSource>::ResolveCachedRun(std::span<const std::string_view> hosts,
-                                                       std::span<BatchLookup> results,
-                                                       ResultCache* cache, size_t n,
-                                                       IndexFn index_of) const {
+size_t BatchEngine::ResolveCachedRun(std::span<const std::string_view> hosts,
+                                     std::span<BatchLookup> results, ResultCache* cache,
+                                     size_t n, IndexFn index_of) const {
   size_t resolved = 0;
   // Depth-2 pipeline: `stage` runs one query ahead of retirement, so a hit's
   // cache-set line has the whole previous query's walk to arrive.  Find is const
@@ -114,31 +85,10 @@ size_t BasicBatchEngine<RouteSource>::ResolveCachedRun(std::span<const std::stri
   return resolved;
 }
 
-template <typename RouteSource>
-void BasicBatchEngine<RouteSource>::MaybeDropCaches() {
-  if (caches_.empty() || options_.cache_min_hit_rate <= 0.0) {
-    return;
-  }
-  if (stats_.cache_lookups < kCacheProbationLookups) {
-    return;  // not enough evidence yet
-  }
-  if (stats_.hit_rate() >= options_.cache_min_hit_rate) {
-    return;
-  }
-  // The workload has no hot set worth memoizing: every probe is overhead on top
-  // of a walk the pipelined path runs faster anyway.  Dropping the caches also
-  // retires the hash-partition pass — later batches take the contiguous-range
-  // path.  Either path produces byte-identical results, so this only changes
-  // throughput, never output.
-  caches_.clear();
-  stats_.caches_dropped = true;
-}
-
-template <typename RouteSource>
-size_t BasicBatchEngine<RouteSource>::ResolveBatch(std::span<const std::string_view> hosts,
-                                                   std::span<BatchLookup> results) {
+size_t BatchEngine::ResolveBatch(std::span<const std::string_view> hosts,
+                                 std::span<BatchLookup> results) {
   // memory_order: acq_rel — the completed_ increment must release every read
-  // this batch performed on the (possibly old) route source, so that a retirer
+  // this batch performed on the (possibly old) image, so that a retirer
   // who acquires batches_completed() >= mark knows the mapping is unreferenced
   // and may unmap it; started_ matches so the counter pair itself is ordered.
   batches_started_.fetch_add(1, std::memory_order_acq_rel);
@@ -149,16 +99,14 @@ size_t BasicBatchEngine<RouteSource>::ResolveBatch(std::span<const std::string_v
   return resolved;
 }
 
-template <typename RouteSource>
-size_t BasicBatchEngine<RouteSource>::ResolveBatchInner(
-    std::span<const std::string_view> hosts, std::span<BatchLookup> results) {
+size_t BatchEngine::ResolveBatchInner(std::span<const std::string_view> hosts,
+                                      std::span<BatchLookup> results) {
   size_t count = std::min(hosts.size(), results.size());
   stats_.queries += count;
   if (shards_ == 1 && caches_.empty()) {
     // Nothing to partition and nothing to memoize: the pipelined resolver IS this
     // path — count lookups in one span, window-K in flight.
-    size_t resolved = resolver_.ResolveBatchPipelined(hosts.first(count),
-                                                      results.first(count), PipelineWindow());
+    size_t resolved = resolver_.ResolveBatch(hosts.first(count), results.first(count));
     stats_.resolved += resolved;
     return resolved;
   }
@@ -171,7 +119,6 @@ size_t BasicBatchEngine<RouteSource>::ResolveBatchInner(
     stats_.resolved += resolved;
     stats_.cache_lookups = cache->stats().lookups;
     stats_.cache_hits = cache->stats().hits;
-    MaybeDropCaches();
     return resolved;
   }
 
@@ -183,8 +130,8 @@ size_t BasicBatchEngine<RouteSource>::ResolveBatchInner(
     auto run_range = [&](int shard) {
       size_t lo = count * static_cast<size_t>(shard) / static_cast<size_t>(shards_);
       size_t hi = count * (static_cast<size_t>(shard) + 1) / static_cast<size_t>(shards_);
-      shard_resolved_[static_cast<size_t>(shard)] = resolver_.ResolveBatchPipelined(
-          hosts.subspan(lo, hi - lo), results.subspan(lo, hi - lo), PipelineWindow());
+      shard_resolved_[static_cast<size_t>(shard)] =
+          resolver_.ResolveBatch(hosts.subspan(lo, hi - lo), results.subspan(lo, hi - lo));
     };
     pool_->Run(shards_, run_range);  // shards_ > 1 here, so the pool exists
   } else {
@@ -218,13 +165,10 @@ size_t BasicBatchEngine<RouteSource>::ResolveBatchInner(
   }
   stats_.cache_lookups = lookups;  // ResultCache stats are already cumulative
   stats_.cache_hits = hits;
-  MaybeDropCaches();
   return resolved;
 }
 
-template <typename RouteSource>
-bool BasicBatchEngine<RouteSource>::ChainTouchesDirty(
-    NameId id, std::span<const NameId> sorted_dirty) const {
+bool BatchEngine::ChainTouchesDirty(NameId id, std::span<const NameId> sorted_dirty) const {
   // A cached result for `id` is LookupInterned(id): id's own route, else the
   // first routed id on its precomputed suffix chain.  Any dirty id anywhere on
   // the chain can change that outcome (via-route rewritten, a closer suffix
@@ -237,8 +181,7 @@ bool BasicBatchEngine<RouteSource>::ChainTouchesDirty(
   return false;
 }
 
-template <typename RouteSource>
-void BasicBatchEngine<RouteSource>::InvalidateRoutes(std::span<const NameId> dirty) {
+void BatchEngine::InvalidateRoutes(std::span<const NameId> dirty) {
   if (caches_.empty() || dirty.empty()) {
     return;
   }
@@ -251,11 +194,9 @@ void BasicBatchEngine<RouteSource>::InvalidateRoutes(std::span<const NameId> dir
   }
 }
 
-template <typename RouteSource>
-void BasicBatchEngine<RouteSource>::AdoptRoutes(const RouteSource* fresh,
-                                                std::span<const NameId> dirty) {
+void BatchEngine::AdoptRoutes(const FrozenRouteSet* fresh, std::span<const NameId> dirty) {
   routes_ = fresh;
-  resolver_ = BasicResolver<RouteSource>(fresh, options_.resolve);
+  resolver_ = Resolver(fresh, options_.resolve);
   fold_case_ = fresh->names().fold_case();
   std::vector<NameId> sorted(dirty.begin(), dirty.end());
   std::sort(sorted.begin(), sorted.end());
@@ -273,7 +214,7 @@ void BasicBatchEngine<RouteSource>::AdoptRoutes(const RouteSource* fresh,
         return true;  // a cached miss views nothing; nothing to re-home
       }
       if (value->via >= fresh_names) {
-        return false;  // defensive: a via the fresh source does not know
+        return false;  // defensive: a via the fresh image does not know
       }
       RouteView fresh_view = routes_->FindRouteView(value->via);
       if (!fresh_view.ok()) {
@@ -286,9 +227,6 @@ void BasicBatchEngine<RouteSource>::AdoptRoutes(const RouteSource* fresh,
     });
   }
 }
-
-template class BasicBatchEngine<RouteSet>;
-template class BasicBatchEngine<FrozenRouteSet>;
 
 }  // namespace exec
 }  // namespace pathalias

@@ -1,4 +1,4 @@
-#include "src/route_db/headers.h"
+#include "src/exec/headers.h"
 
 #include <cctype>
 

@@ -19,14 +19,14 @@
 // optimizer would abbreviate to mcvax!piet and thereby break for every other reader of
 // the header — is pinned by the tests: relays here never shorten recipient paths.
 
-#ifndef SRC_ROUTE_DB_HEADERS_H_
-#define SRC_ROUTE_DB_HEADERS_H_
+#ifndef SRC_EXEC_HEADERS_H_
+#define SRC_EXEC_HEADERS_H_
 
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "src/route_db/resolver.h"
+#include "src/exec/resolver.h"
 
 namespace pathalias {
 
@@ -85,4 +85,4 @@ class HeaderRewriter {
 
 }  // namespace pathalias
 
-#endif  // SRC_ROUTE_DB_HEADERS_H_
+#endif  // SRC_EXEC_HEADERS_H_

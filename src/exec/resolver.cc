@@ -1,41 +1,17 @@
-// BasicResolver method definitions, shared by the per-backend instantiation units:
-// resolver.cc (BasicResolver<RouteSet>) and src/image/frozen_resolver.cc
-// (BasicResolver<FrozenRouteSet>).  Keeping the bodies here — instead of in
-// resolver.cc next to an #include of the image subsystem — keeps route_db a lower
-// layer than src/image, which depends on it.
-
-#ifndef SRC_ROUTE_DB_RESOLVER_IMPL_H_
-#define SRC_ROUTE_DB_RESOLVER_IMPL_H_
+#include "src/exec/resolver.h"
 
 #include <algorithm>
 #include <cstring>
 #include <vector>
 
 #include "src/core/route_printer.h"
-#include "src/route_db/resolver.h"
 
 namespace pathalias {
-namespace resolver_detail {
-
-// Reply-path hot loop: bang paths are a handful of hosts, so the quadratic scan
-// over the vector beats a heap-allocating hash set by an order of magnitude at
-// realistic lengths (no allocation, no hashing, two or three resident lines) and
-// only loses past ~100 hops — far beyond any UUCP loop test.
-inline bool HasRepeatedHost(const std::vector<std::string>& path) {
-  for (size_t i = 1; i < path.size(); ++i) {
-    const std::string& host = path[i];
-    for (size_t j = 0; j < i; ++j) {
-      if (path[j] == host) {
-        return true;
-      }
-    }
-  }
-  return false;
-}
+namespace {
 
 // Joins path[first..] and the user into a relative bang path.
-inline std::string TailArgument(const std::vector<std::string>& path, size_t first,
-                                const std::string& user) {
+std::string TailArgument(const std::vector<std::string>& path, size_t first,
+                         const std::string& user) {
   std::string out;
   for (size_t i = first; i < path.size(); ++i) {
     out += path[i];
@@ -45,10 +21,9 @@ inline std::string TailArgument(const std::vector<std::string>& path, size_t fir
   return out;
 }
 
-}  // namespace resolver_detail
+}  // namespace
 
-template <typename RouteSource>
-BatchLookup BasicResolver<RouteSource>::LookupInterned(NameId id) const {
+BatchLookup Resolver::LookupInterned(NameId id) const {
   // The query is a known name: the exact probe and the entire domain-suffix walk
   // (caip.rutgers.edu → .rutgers.edu → .edu) are integer chases from here on.
   BatchLookup out;
@@ -71,8 +46,7 @@ BatchLookup BasicResolver<RouteSource>::LookupInterned(NameId id) const {
   return out;
 }
 
-template <typename RouteSource>
-BatchLookup BasicResolver<RouteSource>::LookupStranger(std::string_view host) const {
+BatchLookup Resolver::LookupStranger(std::string_view host) const {
   // A stranger: probe its dotted suffixes until one is interned.  Interning any dotted
   // name interns its whole chain, so the first hit's chain covers every shorter suffix.
   BatchLookup out;
@@ -96,51 +70,21 @@ BatchLookup BasicResolver<RouteSource>::LookupStranger(std::string_view host) co
   return out;
 }
 
-template <typename RouteSource>
-BatchLookup BasicResolver<RouteSource>::LookupOne(std::string_view host) const {
+BatchLookup Resolver::LookupOne(std::string_view host) const {
   NameId id = routes_->names().Find(host);
   return id != kNoName ? LookupInterned(id) : LookupStranger(host);
 }
 
-template <typename RouteSource>
-RouteView BasicResolver<RouteSource>::LookupId(std::string_view host, NameId* via) const {
+RouteView Resolver::Lookup(std::string_view host, std::string_view* matched_key) const {
   BatchLookup result = LookupOne(host);
   if (result.route.ok()) {
-    *via = result.via;
+    *matched_key = routes_->names().View(result.via);
   }
   return result.route;
 }
 
-template <typename RouteSource>
-RouteView BasicResolver<RouteSource>::Lookup(std::string_view host,
-                                             std::string_view* matched_key) const {
-  NameId via = kNoName;
-  RouteView route = LookupId(host, &via);
-  if (route.ok()) {
-    *matched_key = routes_->names().View(via);
-  }
-  return route;
-}
-
-template <typename RouteSource>
-size_t BasicResolver<RouteSource>::ResolveBatchScalar(
-    std::span<const std::string_view> hosts, std::span<BatchLookup> results) const {
-  size_t resolved = 0;
-  // Only the common prefix: a results span shorter than the hosts span truncates the
-  // batch rather than writing out of bounds (see the header contract).
-  size_t count = std::min(hosts.size(), results.size());
-  for (size_t i = 0; i < count; ++i) {
-    results[i] = LookupOne(hosts[i]);
-    if (results[i].route.ok()) {
-      ++resolved;
-    }
-  }
-  return resolved;
-}
-
-template <typename RouteSource>
-size_t BasicResolver<RouteSource>::ResolveBatch(std::span<const std::string_view> hosts,
-                                                std::span<BatchLookup> results) const {
+size_t Resolver::ResolveBatch(std::span<const std::string_view> hosts,
+                              std::span<BatchLookup> results) const {
   return ResolveBatchPipelined(hosts, results, kDefaultPipelineWindow);
 }
 
@@ -157,19 +101,19 @@ size_t BasicResolver<RouteSource>::ResolveBatch(std::span<const std::string_view
 #define PATHALIAS_PROBE_COUNT(stats, field) ((void)0)
 #endif
 
-template <typename RouteSource>
-size_t BasicResolver<RouteSource>::ResolveBatchPipelined(
-    std::span<const std::string_view> hosts, std::span<BatchLookup> results,
-    size_t window, ResolvePipelineStats* stats) const {
+size_t Resolver::ResolveBatchPipelined(std::span<const std::string_view> hosts,
+                                       std::span<BatchLookup> results, size_t window,
+                                       ResolvePipelineStats* stats) const {
   if (stats != nullptr) {
     *stats = ResolvePipelineStats{};
   }
   size_t count = std::min(hosts.size(), results.size());
   const NameInterner& names = routes_->names();
-  if (count == 0 || !names.can_probe()) {
-    // Stolen or empty tables have no slots to prefetch; the scalar loop owns the
-    // degraded modes (LinearFind et al.) and is bit-identical by contract.
-    return ResolveBatchScalar(hosts.first(count), results.first(count));
+  if (!names.can_probe()) {
+    // ImageView::Adopt rejects a named image whose table is too small to probe,
+    // so this is an image with no names: every query misses.
+    std::fill_n(results.begin(), count, BatchLookup{});
+    return 0;
   }
   window = std::clamp<size_t>(window, 1, kMaxPipelineWindow);
 
@@ -183,7 +127,7 @@ size_t BasicResolver<RouteSource>::ResolveBatchPipelined(
   // into `hosts` stay alive), keyed on raw query bytes (equal bytes imply equal
   // outcome whether or not the interner folds case), and consulted only where
   // the scalar path would begin a suffix probe — so results stay byte-identical
-  // to ResolveBatchScalar, only cheaper.  Skipped for small batches, where
+  // to the one-query-at-a-time LookupOne loop, only cheaper.  Skipped for small batches, where
   // zeroing the table would cost more than the repeats it could catch.
   struct SuffixMemoEntry {
     const char* ptr = nullptr;  // null: empty slot
@@ -496,8 +440,7 @@ size_t BasicResolver<RouteSource>::ResolveBatchPipelined(
 
 #undef PATHALIAS_PROBE_COUNT
 
-template <typename RouteSource>
-Resolution BasicResolver<RouteSource>::Resolve(std::string_view destination) const {
+Resolution Resolver::Resolve(std::string_view destination) const {
   Resolution resolution;
   Address address = ParseAddress(destination, options_.parse_style);
   if (address.user.empty() && address.path.empty()) {
@@ -527,7 +470,7 @@ Resolution BasicResolver<RouteSource>::Resolve(std::string_view destination) con
 
   const std::string& target = address.path[target_index];
   std::string argument =
-      resolver_detail::TailArgument(address.path, target_index + 1, address.user);
+      TailArgument(address.path, target_index + 1, address.user);
 
   std::string_view matched;
   RouteView route = Lookup(target, &matched);
@@ -549,4 +492,3 @@ Resolution BasicResolver<RouteSource>::Resolve(std::string_view destination) con
 
 }  // namespace pathalias
 
-#endif  // SRC_ROUTE_DB_RESOLVER_IMPL_H_

@@ -13,29 +13,23 @@
 //   * the loop-test caveat — "an overly-enthusiastic optimizer can eliminate them
 //     altogether": paths that visit a host twice are never shortened.
 //
-// The resolver is a template over its route source so the same code serves both
-// backends: the live, parse-built RouteSet and the mmap'd FrozenRouteSet from
-// src/image.  A RouteSource supplies
-//   const NameInterner& names() const;
-//   RouteView FindRouteView(NameId) const;
-// and everything else — the suffix walk, rightmost-known rewriting, loop preservation —
-// is shared.  Method bodies live in resolver_impl.h; each backend's translation unit
-// (resolver.cc here, frozen_resolver.cc in src/image) hosts its own explicit
-// instantiation, so this layer never depends on the image subsystem above it.
+// The resolver reads the mmap'd FrozenRouteSet from src/image: the .pari image is
+// the one form routes are resolved from.  Code that builds its routes in memory
+// freezes them first (FrozenImage::Freeze).
 
-#ifndef SRC_ROUTE_DB_RESOLVER_H_
-#define SRC_ROUTE_DB_RESOLVER_H_
+#ifndef SRC_EXEC_RESOLVER_H_
+#define SRC_EXEC_RESOLVER_H_
 
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
+#include "src/image/frozen_route_set.h"
 #include "src/route_db/address.h"
 #include "src/route_db/route_db.h"
 
 namespace pathalias {
-
-class FrozenRouteSet;  // src/image/frozen_route_set.h
 
 struct ResolveOptions {
   ParseStyle parse_style = ParseStyle::kUucpFirst;
@@ -73,7 +67,7 @@ struct BatchLookup {
 // The counting code compiles in only under PATHALIAS_PROBE_STATS (CMake option of
 // the same name); without it ResolveBatchPipelined zeroes the struct and the hot
 // loop carries no counter writes at all.  Counters accrue into a caller-local
-// struct, so concurrent pipelines over one route source never share state.
+// struct, so concurrent pipelines over one image never share state.
 struct ResolvePipelineStats {
   uint64_t lookups = 0;                 // queries entering the pipeline
   uint64_t name_probes = 0;             // probe sequences begun (host + suffix texts)
@@ -96,10 +90,30 @@ struct ResolvePipelineStats {
   }
 };
 
-template <typename RouteSource>
-class BasicResolver {
+namespace resolver_detail {
+
+// The UUCP loop test on a parsed bang path: true when some host appears twice.
+// Reply-path hot loop: bang paths are a handful of hosts, so the quadratic scan
+// over the vector beats a heap-allocating hash set by an order of magnitude at
+// realistic lengths (no allocation, no hashing, two or three resident lines) and
+// only loses past ~100 hops — far beyond any UUCP loop test.
+inline bool HasRepeatedHost(const std::vector<std::string>& path) {
+  for (size_t i = 1; i < path.size(); ++i) {
+    const std::string& host = path[i];
+    for (size_t j = 0; j < i; ++j) {
+      if (path[j] == host) {
+        return true;
+      }
+    }
+  }
+  return false;
+}
+
+}  // namespace resolver_detail
+
+class Resolver {
  public:
-  BasicResolver(const RouteSource* routes, ResolveOptions options)
+  Resolver(const FrozenRouteSet* routes, ResolveOptions options)
       : routes_(routes), options_(options) {}
 
   Resolution Resolve(std::string_view destination) const;
@@ -107,7 +121,7 @@ class BasicResolver {
   // The paper's lookup: exact host name, then successive domain suffixes, longest
   // first.  On a suffix match the caller must prepend the full host name to the
   // argument.  `matched_key` receives the database key that hit — always a view into
-  // the route set's interner (alive as long as the set), never an allocation.
+  // the image's interner (alive as long as the image), never an allocation.
   RouteView Lookup(std::string_view host, std::string_view* matched_key) const;
 
   // Bulk form of Lookup for mailer delivery scans: resolves hosts[i] into results[i]
@@ -121,17 +135,11 @@ class BasicResolver {
   //
   // ResolveBatch runs the software-pipelined loop at kDefaultPipelineWindow (it is
   // ResolveBatchPipelined with the default window); results are byte-identical to
-  // ResolveBatchScalar at every window size — enforced by tests, the fuzz harness,
-  // and CI against the committed benchmark run.
+  // the one-LookupOne-per-query reference loop in src/baseline at every window
+  // size — enforced by tests, the fuzz harness, and CI against the committed
+  // benchmark run.
   size_t ResolveBatch(std::span<const std::string_view> hosts,
                       std::span<BatchLookup> results) const;
-
-  // The one-query-at-a-time reference loop (what ResolveBatch was before the
-  // pipeline): each lookup's dependent-miss chain — hash, probe slot, interner
-  // entry, by-name index, route record — stalls to completion before the next
-  // query starts.  Retained as the golden reference and the degraded-mode path.
-  size_t ResolveBatchScalar(std::span<const std::string_view> hosts,
-                            std::span<BatchLookup> results) const;
 
   // The software pipeline: a ring of `window` lookups in flight.  Each lane
   // advances one stage per sweep — hash+slot-prefetch on launch, one probe-slot
@@ -140,10 +148,10 @@ class BasicResolver {
   // prefetch was issued for one full sweep (window-1 other lane steps) earlier.
   // Misses don't stall the pipe: a stranger's next dotted-suffix probe and a
   // suffix walk's next chain hop are spilled back into the lane as continuations.
-  // `window` is clamped to [1, kMaxPipelineWindow]; tables that cannot be probed
-  // slot-wise (stolen, empty) fall back to the scalar loop.  `stats`, when
-  // non-null, is zeroed and — in PATHALIAS_PROBE_STATS builds — filled with
-  // probe/collision/retire counters for the call.
+  // `window` is clamped to [1, kMaxPipelineWindow].  An image with no names
+  // (the only kind whose table cannot be probed slot-wise) misses every query.
+  // `stats`, when non-null, is zeroed and — in PATHALIAS_PROBE_STATS builds —
+  // filled with probe/collision/retire counters for the call.
   size_t ResolveBatchPipelined(std::span<const std::string_view> hosts,
                                std::span<BatchLookup> results, size_t window,
                                ResolvePipelineStats* stats = nullptr) const;
@@ -156,9 +164,9 @@ class BasicResolver {
   static constexpr size_t kMaxPipelineWindow = 64;
 
   // The per-query pieces ResolveBatch is made of, exposed for the sharded batch
-  // engine (src/exec), which hashes each query once and wants to memoize the walk
-  // that follows.  All three are const, allocation-free and mutate nothing, so any
-  // number of threads may call them against one route source concurrently.
+  // engine, which hashes each query once and wants to memoize the walk that
+  // follows.  All three are const, allocation-free and mutate nothing, so any
+  // number of threads may call them against one image concurrently.
   //
   // LookupInterned: the walk for a query the interner already knows, starting from
   // its id (exact route, then the precomputed suffix chain).  The result is a pure
@@ -172,20 +180,10 @@ class BasicResolver {
   BatchLookup LookupOne(std::string_view host) const;
 
  private:
-  // Core walk shared by Lookup and Resolve; fills `via` on a hit.
-  RouteView LookupId(std::string_view host, NameId* via) const;
-
-  const RouteSource* routes_;
+  const FrozenRouteSet* routes_;
   ResolveOptions options_;
 };
 
-// The two supported backends; bodies are compiled once, in resolver.cc.
-using Resolver = BasicResolver<RouteSet>;
-using FrozenResolver = BasicResolver<FrozenRouteSet>;
-
-extern template class BasicResolver<RouteSet>;
-extern template class BasicResolver<FrozenRouteSet>;
-
 }  // namespace pathalias
 
-#endif  // SRC_ROUTE_DB_RESOLVER_H_
+#endif  // SRC_EXEC_RESOLVER_H_

@@ -31,10 +31,10 @@
 // AdoptRoutes flow).  What cannot happen is a key matching one entry while the
 // value bytes belong to another.
 //
-// Lifetime: cached BatchLookups hold views into the route source's storage (interner
-// bytes, route bytes — possibly an mmap'd .pari image).  The cache must not outlive
-// the route source; when the source is replaced see BasicBatchEngine::AdoptRoutes
-// (targeted) or call Clear() (flush).
+// Lifetime: cached BatchLookups hold views into the image's storage (interner bytes,
+// route bytes of a .pari image, usually mmap'd).  The cache must not outlive the
+// image; when the image is replaced see BatchEngine::AdoptRoutes (targeted) or call
+// Clear() (flush).
 
 #ifndef SRC_EXEC_RESULT_CACHE_H_
 #define SRC_EXEC_RESULT_CACHE_H_
@@ -44,7 +44,7 @@
 #include <span>
 #include <vector>
 
-#include "src/route_db/resolver.h"
+#include "src/exec/resolver.h"
 #include "src/support/interner.h"
 
 namespace pathalias {
@@ -139,7 +139,7 @@ class ResultCache {
   }
 
   // Inserts (or refreshes) `key`.  The caller has just computed `value` with
-  // BasicResolver::LookupInterned, so `value` is THE result for `key` — a duplicate
+  // Resolver::LookupInterned, so `value` is THE result for `key` — a duplicate
   // insert simply overwrites with identical bytes.
   void Put(NameId key, const BatchLookup& value) { Put(Begin(key), key, value); }
 

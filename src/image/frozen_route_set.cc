@@ -1,5 +1,10 @@
 #include "src/image/frozen_route_set.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+#include "src/image/image_writer.h"
+
 namespace pathalias {
 
 std::optional<FrozenImage> FrozenImage::Open(const std::string& path,
@@ -17,6 +22,19 @@ std::optional<FrozenImage> FrozenImage::Open(const std::string& path,
     return std::nullopt;
   }
   return FrozenImage(std::move(*file), *view);
+}
+
+FrozenImage FrozenImage::Freeze(const RouteSet& routes) {
+  image::MappedFile file = image::MappedFile::FromBuffer(image::ImageWriter::Freeze(routes));
+  std::string error;
+  std::optional<image::ImageView> view =
+      image::ImageView::Adopt(file.bytes(), image::ImageView::Verify::kChecksum, &error);
+  if (!view) {
+    std::fprintf(stderr, "FrozenImage::Freeze: the writer's image failed to verify: %s\n",
+                 error.c_str());
+    std::abort();
+  }
+  return FrozenImage(std::move(file), *view);
 }
 
 }  // namespace pathalias

@@ -1,13 +1,13 @@
 // FrozenRouteSet: the image-backed route database.
 //
-// The consumer-facing half of the frozen image subsystem: a RouteSet-shaped object
-// whose names, probe table, and routes all live in a validated .pari buffer.  It
-// satisfies the Resolver's RouteSource contract (names() + FindRouteView()), so
-// BasicResolver<FrozenRouteSet> — and therefore ResolveBatch — runs directly against
-// the mapping: open + mmap + resolve, no re-parsing, no re-interning, no allocation.
+// The consumer-facing half of the frozen image subsystem: a read-only route set
+// whose names, probe table, and routes all live in a validated .pari buffer.  It is
+// what the Resolver (src/exec) reads, so ResolveBatch runs directly against the
+// mapping: open + mmap + resolve, no re-parsing, no re-interning, no allocation.
 //
 // FrozenImage bundles the pieces for the common case: open a file, validate it, own
-// the mapping, expose the FrozenRouteSet.
+// the mapping, expose the FrozenRouteSet.  FrozenImage::Freeze is the in-memory form
+// of the same thing, for routes built in process.
 
 #ifndef SRC_IMAGE_FROZEN_ROUTE_SET_H_
 #define SRC_IMAGE_FROZEN_ROUTE_SET_H_
@@ -34,7 +34,8 @@ class FrozenRouteSet {
         name_count_(view.name_count()),
         route_count_(view.route_count()) {}
 
-  // The RouteSource contract (same shape as RouteSet's).
+  // The interner every route key (and its domain-suffix chain) lives in, and the
+  // route of one key; a default RouteView means "no route".
   const NameInterner& names() const { return names_; }
   RouteView FindRouteView(NameId id) const {
     if (id >= name_count_ || by_name_[id] == 0) {
@@ -50,9 +51,9 @@ class FrozenRouteSet {
     return id == kNoName ? RouteView{} : FindRouteView(id);
   }
 
-  // The pipelined resolver's FindRouteView split (same shape as RouteSet's): the
-  // by-name index slot, then — once HasRoute says yes — the frozen route record,
-  // each prefetched one pipeline round before it is read.
+  // The pipelined resolver's FindRouteView split: the by-name index slot, then —
+  // once HasRoute says yes — the frozen route record, each prefetched one pipeline
+  // round before it is read.
   bool HasRoute(NameId id) const { return id < name_count_ && by_name_[id] != 0; }
   void PrefetchFind(NameId id) const {
     if (id < name_count_) {
@@ -65,7 +66,7 @@ class FrozenRouteSet {
     }
   }
 
-  // Route `index` in frozen order (the live set's insertion order), for iteration.
+  // Route `index` in frozen order (the RouteSet's insertion order), for iteration.
   RouteView RouteAt(uint32_t index) const {
     const image::FrozenRoute& route = routes_[index];
     return RouteView{route.name,
@@ -96,6 +97,12 @@ class FrozenImage {
       const std::string& path,
       image::ImageView::Verify verify = image::ImageView::Verify::kStructure,
       std::string* error = nullptr, bool readahead = false);
+
+  // Freezes `routes` into an owned heap buffer and adopts it with a full checksum
+  // check: the in-memory form of ImageWriter::WriteFile + Open, for code that builds
+  // its routes in process (tests, benchmarks, examples).  The buffer the writer
+  // produced always verifies, so this never fails.
+  static FrozenImage Freeze(const RouteSet& routes);
 
   const FrozenRouteSet& routes() const { return set_; }
   const image::ImageView& view() const { return view_; }

@@ -76,6 +76,12 @@ std::optional<MappedFile> MappedFile::Open(const std::string& path, bool readahe
   return file;
 }
 
+MappedFile MappedFile::FromBuffer(std::string bytes) {
+  MappedFile file;
+  file.buffer_ = std::move(bytes);
+  return file;
+}
+
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
 #ifdef PATHALIAS_HAVE_MMAP

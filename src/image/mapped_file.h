@@ -25,6 +25,9 @@ class MappedFile {
   // heap-buffer fallback reads everything eagerly anyway.
   static std::optional<MappedFile> Open(const std::string& path, bool readahead = false);
 
+  // Owns `bytes` as if they had been read from a file: the heap-buffer form.
+  static MappedFile FromBuffer(std::string bytes);
+
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
   MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;

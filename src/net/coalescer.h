@@ -2,8 +2,8 @@
 //
 // RequestCoalescer: the daemon drains every datagram the kernel has queued before
 // resolving anything, accumulating all their queries into ONE flat batch — so a
-// burst of concurrent clients costs one BasicBatchEngine::ResolveBatch call (the
-// PR-6 pipelined walk, the PR-3 shards, the result cache) instead of N small ones,
+// burst of concurrent clients costs one exec::BatchEngine::ResolveBatch call (the
+// pipelined walk and the result cache) instead of N small ones,
 // and the demultiplexing back to per-client replies is a span slice per request.
 // Query bytes are copied out of the receive buffer into an owned arena (the buffer
 // is reused for the next datagram); views are materialized only at Finish(), after

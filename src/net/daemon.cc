@@ -235,7 +235,7 @@ void Daemon::ResolveAndReply() {
   }
   const std::vector<std::string_view>& queries = coalescer_.Finish();
   results_.assign(queries.size(), BatchLookup{});
-  exec::FrozenBatchEngine* engine = rollover_.engine();
+  exec::BatchEngine* engine = rollover_.engine();
   size_t resolved = engine->ResolveBatch(queries, results_);
   ++stats_.batches;
   stats_.queries += queries.size();

@@ -10,7 +10,7 @@
 //      requests (same peer, same id) short-circuit to the ReplayBuffer and never
 //      reach the resolver.
 //   2. One ResolveBatch over the whole coalesced batch (shards, result cache,
-//      pipelined walk — the serving engine is exec::FrozenBatchEngine), then one
+//      pipelined walk — the serving engine is exec::BatchEngine), then one
 //      reply datagram per request, sliced back out of the flat result span,
 //      bounded by max_reply_bytes with explicit truncation flags.
 //   3. Housekeeping: a pending SIGHUP runs the in-process reload; the image file
@@ -95,7 +95,7 @@ class Daemon {
   const DaemonStats& stats() const { return stats_; }
   RolloverController& rollover() { return rollover_; }
   // The live engine (test hook; changes identity after an incompatible swap).
-  exec::FrozenBatchEngine* engine() { return rollover_.engine(); }
+  exec::BatchEngine* engine() { return rollover_.engine(); }
   // After Start with udp_port == 0: the kernel-assigned port.
   uint16_t udp_port() const;
   const std::string& unix_path() const { return options_.unix_path; }

@@ -49,7 +49,7 @@ bool RolloverController::Start(std::string* error) {
   }
   current_ = std::make_unique<FrozenImage>(std::move(*image));
   image_generation_ = current_->view().header().generation;
-  engine_ = std::make_unique<exec::FrozenBatchEngine>(&current_->routes(), options_.engine);
+  engine_ = std::make_unique<exec::BatchEngine>(&current_->routes(), options_.engine);
   StatImage(&identity_);  // best-effort: a failed stat just means CheckImage re-opens
   return true;
 }
@@ -235,7 +235,7 @@ ReloadOutcome RolloverController::CheckImage(std::string* detail) {
     uint64_t mark = engine_->batches_started();
     current_ = std::move(fresh);
     image_generation_ = current_->view().header().generation;
-    engine_ = std::make_unique<exec::FrozenBatchEngine>(&current_->routes(), options_.engine);
+    engine_ = std::make_unique<exec::BatchEngine>(&current_->routes(), options_.engine);
     retired_.push_back({std::move(old), mark});
     identity_ = now;
     ++generation_;

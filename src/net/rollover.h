@@ -1,7 +1,7 @@
 // RolloverController: zero-downtime route updates for a serving process.
 //
 // Owns the pieces a long-lived server needs to swap its mapping under live
-// traffic: the current FrozenImage, the FrozenBatchEngine resolving against it,
+// traffic: the current FrozenImage, the BatchEngine resolving against it,
 // an optionally-resident incr::MapBuilder for in-process updates, and a retire
 // list of old mappings waiting for in-flight batches to drain.
 //
@@ -80,7 +80,7 @@ class RolloverController {
   // The serving engine.  The pointer is stable across rollovers (AdoptRoutes swaps
   // its internals) except after an incompatible CheckImage() swap, which replaces
   // the engine object — re-fetch after every reload, which costs nothing.
-  exec::FrozenBatchEngine* engine() { return engine_.get(); }
+  exec::BatchEngine* engine() { return engine_.get(); }
   const FrozenRouteSet* routes() const { return &current_->routes(); }
 
   // SIGHUP: re-read options_.map_files and run the in-process update pipeline.
@@ -136,7 +136,7 @@ class RolloverController {
 
   RolloverOptions options_;
   std::unique_ptr<FrozenImage> current_;
-  std::unique_ptr<exec::FrozenBatchEngine> engine_;
+  std::unique_ptr<exec::BatchEngine> engine_;
   std::unique_ptr<incr::MapBuilder> builder_;  // lazy: loaded on first HUP
   ImageIdentity identity_;                     // what is being served
   std::deque<RetiredImage> retired_;

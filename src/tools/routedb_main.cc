@@ -66,6 +66,7 @@
 #include <vector>
 
 #include "src/exec/batch_engine.h"
+#include "src/exec/resolver.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_format.h"
 #include "src/image/image_writer.h"
@@ -73,7 +74,6 @@
 #include "src/incr/state_dir.h"
 #include "src/net/socket.h"
 #include "src/net/wire.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
 
@@ -161,7 +161,7 @@ int RunBatch(const pathalias::FrozenRouteSet& routes, std::istream& in,
   pathalias::exec::BatchEngineOptions engine_options;
   engine_options.threads = flags.threads;
   engine_options.cache_entries = flags.cache_entries;
-  pathalias::exec::FrozenBatchEngine engine(&routes, engine_options);
+  pathalias::exec::BatchEngine engine(&routes, engine_options);
 
   const size_t chunk_lines = flags.chunk_lines == 0 ? 1 : flags.chunk_lines;
   std::vector<std::string> hosts;
@@ -255,7 +255,7 @@ int RunResolve(const pathalias::FrozenRouteSet& routes,
                const std::vector<const char*>& addresses) {
   pathalias::ResolveOptions options;
   options.optimize = pathalias::ResolveOptions::Optimize::kRightmostKnown;
-  pathalias::FrozenResolver resolver(&routes, options);
+  pathalias::Resolver resolver(&routes, options);
   int failures = 0;
   for (const char* address : addresses) {
     pathalias::Resolution resolution = resolver.Resolve(address);

@@ -21,6 +21,9 @@
 //            [--max-reply-bytes B] [--replay-entries R] [--replay-bytes B]
 //            [--max-queries-per-turn Q] [--watch-interval MS] [--ready-fd FD]
 //
+// --cache-entries: the serving engine's result-cache capacity, default 4096.  The
+// daemon always runs with a cache, so 0 is rejected.
+//
 // --ready-fd: a pipe fd the daemon writes one line to once it is serving
 // ("ready <udp-port>\n") — how the smoke test and scripts avoid sleep-loops.
 //
@@ -52,16 +55,18 @@ int Usage() {
                "                [--max-reply-bytes B] [--replay-entries R]\n"
                "                [--replay-bytes B] [--max-queries-per-turn Q]\n"
                "                [--watch-interval MS] [--ready-fd FD]\n"
-               "at least one of --unix / --udp is required\n";
+               "at least one of --unix / --udp is required\n"
+               "--cache-entries M: result-cache capacity in [1, 2^30], default 4096\n";
   return 2;
 }
 
-bool ParseUint(const char* flag, const char* text, uint64_t max, uint64_t* out) {
+bool ParseUint(const char* flag, const char* text, uint64_t max, uint64_t* out,
+               uint64_t min = 0) {
   std::string_view view(text);
   auto [end, errc] = std::from_chars(view.data(), view.data() + view.size(), *out);
-  if (errc != std::errc{} || end != view.data() + view.size() || *out > max) {
-    std::cerr << "routedbd: " << flag << " needs an integer in [0, " << max << "], got '"
-              << text << "'\n";
+  if (errc != std::errc{} || end != view.data() + view.size() || *out < min || *out > max) {
+    std::cerr << "routedbd: " << flag << " needs an integer in [" << min << ", " << max
+              << "], got '" << text << "'\n";
     return false;
   }
   return true;
@@ -73,6 +78,9 @@ int main(int argc, char** argv) {
   pathalias::support::failpoint::ArmFromEnv();
   pathalias::net::DaemonOptions options;
   options.udp_port = -1;
+  // A serving engine without a cache throws away the daemon's main advantage over
+  // per-request `routedb resolve`, so there is always one.
+  options.rollover.engine.cache_entries = 4096;
   options.log_reloads = true;  // a daemon's failed rollover belongs in its log
   int ready_fd = -1;
   for (int i = 1; i < argc; ++i) {
@@ -103,7 +111,8 @@ int main(int argc, char** argv) {
       options.rollover.map_files.emplace_back(v);
     } else if (arg == "--cache-entries") {
       const char* v = value("--cache-entries");
-      if (v == nullptr || !ParseUint("--cache-entries", v, uint64_t{1} << 30, &number)) {
+      if (v == nullptr ||
+          !ParseUint("--cache-entries", v, uint64_t{1} << 30, &number, /*min=*/1)) {
         return Usage();
       }
       options.rollover.engine.cache_entries = static_cast<size_t>(number);
@@ -154,12 +163,6 @@ int main(int argc, char** argv) {
   if (options.unix_path.empty() && options.udp_port < 0) {
     return Usage();
   }
-  // A serving engine without a cache throws away the daemon's main advantage over
-  // per-request `routedb resolve`; give it a sensible default.
-  if (options.rollover.engine.cache_entries == 0) {
-    options.rollover.engine.cache_entries = 4096;
-  }
-
   pathalias::net::Daemon daemon(std::move(options));
   std::string error;
   if (!daemon.Start(&error)) {

@@ -1,5 +1,5 @@
 // The sharded batch engine's contract: byte-identical to the serial resolver at any
-// thread count, with the result cache on or off, over both backends.
+// thread count, with the result cache on or off.
 
 #include "src/exec/batch_engine.h"
 
@@ -9,10 +9,10 @@
 #include <string>
 #include <vector>
 
+#include "src/exec/resolver.h"
 #include "src/exec/result_cache.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 
 namespace pathalias {
@@ -63,7 +63,7 @@ std::vector<std::string_view> Views(const std::vector<std::string>& pool) {
 }
 
 // Every observable field must match, including the view identity: cached results
-// must alias the route source's storage, never a copy.
+// must alias the image's storage, never a copy.
 void ExpectSameResults(const std::vector<BatchLookup>& expected,
                        const std::vector<BatchLookup>& actual,
                        const std::vector<std::string_view>& queries) {
@@ -80,7 +80,8 @@ void ExpectSameResults(const std::vector<BatchLookup>& expected,
 }
 
 TEST(BatchEngine, MatchesSerialResolverAtEveryThreadAndCacheSetting) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
+  const FrozenRouteSet& routes = image.routes();
   std::vector<std::string> pool = BuildQueryPool();
   std::vector<std::string_view> queries = Views(pool);
 
@@ -104,55 +105,18 @@ TEST(BatchEngine, MatchesSerialResolverAtEveryThreadAndCacheSetting) {
   }
 }
 
-TEST(BatchEngine, FrozenBackendMatchesLiveBackend) {
-  RouteSet routes = BuildRoutes();
-  std::string image = image::ImageWriter::Freeze(routes);
-  std::string error;
-  auto view = image::ImageView::Adopt(image, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view.has_value()) << error;
-  FrozenRouteSet frozen(*view);
-
-  std::vector<std::string> pool = BuildQueryPool();
-  std::vector<std::string_view> queries = Views(pool);
-
-  Resolver resolver(&routes, ResolveOptions{});
-  std::vector<BatchLookup> serial(queries.size());
-  size_t serial_resolved = resolver.ResolveBatch(queries, serial);
-
-  BatchEngineOptions options;
-  options.threads = 4;
-  options.cache_entries = 256;
-  FrozenBatchEngine engine(&frozen, options);
-  std::vector<BatchLookup> parallel(queries.size());
-  EXPECT_EQ(engine.ResolveBatch(queries, parallel), serial_resolved);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(serial[i].route.ok(), parallel[i].route.ok()) << queries[i];
-    EXPECT_EQ(serial[i].route.route, parallel[i].route.route) << queries[i];
-    EXPECT_EQ(serial[i].suffix_match, parallel[i].suffix_match) << queries[i];
-    if (serial[i].route.ok()) {
-      // Ids are assigned in different orders by the two backends; compare by name.
-      EXPECT_EQ(routes.names().View(serial[i].via), frozen.names().View(parallel[i].via))
-          << queries[i];
-    }
-  }
-}
-
 // The flush-free serving update: a long-lived frozen engine adopts a refrozen image
 // and invalidates only the dirty ids.  Clean destinations may keep serving cached
 // views into the OLD mapping (kept alive, as the contract requires); dirty ones
 // must come back fresh.
 TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   RouteSet routes = BuildRoutes();
-  std::string image_a = image::ImageWriter::Freeze(routes);
-  std::string error;
-  auto view_a = image::ImageView::Adopt(image_a, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view_a.has_value()) << error;
-  FrozenRouteSet frozen_a(*view_a);
+  FrozenImage image_a = FrozenImage::Freeze(routes);
 
   BatchEngineOptions options;
   options.threads = 1;
   options.cache_entries = 1024;
-  FrozenBatchEngine engine(&frozen_a, options);
+  BatchEngine engine(&image_a.routes(), options);
 
   std::vector<std::string> pool = BuildQueryPool();
   std::vector<std::string_view> queries = Views(pool);
@@ -165,20 +129,17 @@ TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
   upserts.push_back({"host7", "rerouted!host7!%s", 9999});
   std::vector<NameId> dirty_live = routes.ApplyDelta(upserts, {});
   ASSERT_EQ(dirty_live.size(), 1u);
-  std::string image_b = image::ImageWriter::Freeze(routes);
-  auto view_b = image::ImageView::Adopt(image_b, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view_b.has_value()) << error;
-  FrozenRouteSet frozen_b(*view_b);
+  FrozenImage image_b = FrozenImage::Freeze(routes);
 
-  // The image id space tracks the live set's: translate by name (here they agree).
-  NameId dirty_id = frozen_b.names().Find("host7");
+  // The image id space tracks the RouteSet's: translate by name (here they agree).
+  NameId dirty_id = image_b.routes().names().Find("host7");
   ASSERT_NE(dirty_id, kNoName);
   std::vector<NameId> dirty = {dirty_id};
-  engine.AdoptRoutes(&frozen_b, dirty);  // image A stays alive above — required
+  engine.AdoptRoutes(&image_b.routes(), dirty);  // image A stays alive above — required
 
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);
-  Resolver reference(&routes, ResolveOptions{});
+  Resolver reference(&image_b.routes(), ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   reference.ResolveBatch(queries, expected);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -190,7 +151,6 @@ TEST(BatchEngine, AdoptRoutesServesFreshDirtyRoutesWithoutFlushingCleanOnes) {
 TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
   // The satellite case: a delivery scan where 90% of the batch is a hot set of
   // repeated destinations.  The cache must change the speed, never the bytes.
-  RouteSet routes = BuildRoutes();
   std::vector<std::string> hot = {"phs",     "duke",    "ucbvax",
                                   "host7",   "host42",  "m3.dept3.edu",
                                   "host100", "host199", "m150.dept3.edu",
@@ -206,13 +166,14 @@ TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
   }
   std::vector<std::string_view> queries = Views(pool);
 
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
   BatchEngineOptions cached_options;
   cached_options.threads = 4;
   cached_options.cache_entries = 64;
-  BatchEngine cached(&routes, cached_options);
+  BatchEngine cached(&image.routes(), cached_options);
   BatchEngineOptions uncached_options;
   uncached_options.threads = 4;
-  BatchEngine uncached(&routes, uncached_options);
+  BatchEngine uncached(&image.routes(), uncached_options);
 
   std::vector<BatchLookup> with_cache(queries.size());
   std::vector<BatchLookup> without_cache(queries.size());
@@ -230,9 +191,10 @@ TEST(BatchEngine, NinetyPercentRepeatedDestinationsIdenticalWithCacheOnAndOff) {
 TEST(BatchEngine, CachesNegativeResults) {
   RouteSet routes;
   routes.Add("x.y.zz", "x.y.zz!%s", 10);  // interns ".y.zz" and ".zz", both routeless
+  FrozenImage image = FrozenImage::Freeze(routes);
   BatchEngineOptions options;
   options.cache_entries = 16;
-  BatchEngine engine(&routes, options);
+  BatchEngine engine(&image.routes(), options);
 
   std::vector<std::string_view> queries = {".y.zz", ".y.zz", ".y.zz"};
   std::vector<BatchLookup> results(queries.size());
@@ -245,11 +207,11 @@ TEST(BatchEngine, CachesNegativeResults) {
 }
 
 TEST(BatchEngine, CachePersistsAcrossBatches) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
   BatchEngineOptions options;
   options.threads = 2;
   options.cache_entries = 64;
-  BatchEngine engine(&routes, options);
+  BatchEngine engine(&image.routes(), options);
 
   std::vector<std::string_view> queries = {"phs", "duke", "ucbvax"};
   std::vector<BatchLookup> results(queries.size());
@@ -261,10 +223,10 @@ TEST(BatchEngine, CachePersistsAcrossBatches) {
 }
 
 TEST(BatchEngine, StrangersAreNeverCached) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
   BatchEngineOptions options;
   options.cache_entries = 64;
-  BatchEngine engine(&routes, options);
+  BatchEngine engine(&image.routes(), options);
   std::vector<std::string_view> queries = {"s1.rutgers.edu", "s1.rutgers.edu",
                                            "nope.example", "nope.example"};
   std::vector<BatchLookup> results(queries.size());
@@ -274,11 +236,11 @@ TEST(BatchEngine, StrangersAreNeverCached) {
 }
 
 TEST(BatchEngine, EmptyBatchAndTruncatedResultsSpan) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
   BatchEngineOptions options;
   options.threads = 4;
   options.cache_entries = 16;
-  BatchEngine engine(&routes, options);
+  BatchEngine engine(&image.routes(), options);
 
   std::vector<BatchLookup> none;
   EXPECT_EQ(engine.ResolveBatch({}, none), 0u);
@@ -293,102 +255,14 @@ TEST(BatchEngine, EmptyBatchAndTruncatedResultsSpan) {
 }
 
 TEST(BatchEngine, ZeroThreadsMeansHardwareWidth) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
   BatchEngineOptions options;
   options.threads = 0;
-  BatchEngine engine(&routes, options);
+  BatchEngine engine(&image.routes(), options);
   EXPECT_GE(engine.shards(), 1);
   std::vector<std::string_view> queries = {"phs"};
   std::vector<BatchLookup> results(1);
   EXPECT_EQ(engine.ResolveBatch(queries, results), 1u);
-}
-
-TEST(BatchEngine, PipelineWindowOptionChangesNothingObservable) {
-  // pipeline_window is a pure throughput knob on the uncached paths: every
-  // setting — degenerate, tiny, default-selecting zero, max — produces the
-  // serial resolver's bytes at every thread count.
-  RouteSet routes = BuildRoutes();
-  std::vector<std::string> pool = BuildQueryPool();
-  std::vector<std::string_view> queries = Views(pool);
-
-  Resolver resolver(&routes, ResolveOptions{});
-  std::vector<BatchLookup> serial(queries.size());
-  size_t serial_resolved = resolver.ResolveBatchScalar(queries, serial);
-
-  for (int threads : {1, 4}) {
-    for (size_t window : {size_t{0}, size_t{1}, size_t{2}, size_t{24}, size_t{64}}) {
-      BatchEngineOptions options;
-      options.threads = threads;
-      options.pipeline_window = window;
-      BatchEngine engine(&routes, options);
-      std::vector<BatchLookup> results(queries.size());
-      EXPECT_EQ(engine.ResolveBatch(queries, results), serial_resolved)
-          << threads << " threads, window " << window;
-      ExpectSameResults(serial, results, queries);
-    }
-  }
-}
-
-TEST(BatchEngine, CacheMinHitRateDropsAThrashingCacheAfterProbation) {
-  // ~400 interned destinations cycling through an 8-entry cache thrash it —
-  // nearly every lookup misses.  Once past the probation the floor fires,
-  // caches_dropped latches, and results stay byte-identical throughout.
-  RouteSet routes = BuildRoutes();
-  BatchEngineOptions options;
-  options.threads = 1;
-  options.cache_entries = 8;
-  options.cache_min_hit_rate = 0.25;
-  BatchEngine engine(&routes, options);
-
-  std::vector<std::string> pool;
-  for (int i = 0; i < 200; ++i) {  // every interned host and member, once per batch
-    pool.push_back("host" + std::to_string(i));
-    pool.push_back("m" + std::to_string(i) + ".dept" + std::to_string(i % 7) + ".edu");
-  }
-  std::vector<std::string_view> queries = Views(pool);
-  std::vector<BatchLookup> results(queries.size());
-
-  Resolver resolver(&routes, ResolveOptions{});
-  std::vector<BatchLookup> serial(queries.size());
-  size_t serial_resolved = resolver.ResolveBatchScalar(queries, serial);
-
-  size_t batches = 0;
-  while (!engine.stats().caches_dropped && batches < 64) {
-    EXPECT_EQ(engine.ResolveBatch(queries, results), serial_resolved);
-    ExpectSameResults(serial, results, queries);
-    ++batches;
-  }
-  EXPECT_TRUE(engine.stats().caches_dropped)
-      << "a thrashing cache must be dropped once past the probation";
-  // Dropped means dropped: further batches consult no cache, and the bytes
-  // still match the serial reference.
-  uint64_t lookups_at_drop = engine.stats().cache_lookups;
-  EXPECT_EQ(engine.ResolveBatch(queries, results), serial_resolved);
-  ExpectSameResults(serial, results, queries);
-  EXPECT_EQ(engine.stats().cache_lookups, lookups_at_drop);
-}
-
-TEST(BatchEngine, CacheMinHitRateSparesAHotCache) {
-  // A 100%-repeated stream keeps the measured hit rate far above any sane
-  // floor: the caches must survive probation and keep serving.
-  RouteSet routes = BuildRoutes();
-  BatchEngineOptions options;
-  options.threads = 1;
-  options.cache_entries = 64;
-  options.cache_min_hit_rate = 0.50;
-  BatchEngine engine(&routes, options);
-
-  std::vector<std::string> pool;
-  for (int i = 0; i < 1000; ++i) {
-    pool.push_back("host" + std::to_string(i % 8));
-  }
-  std::vector<std::string_view> queries = Views(pool);
-  std::vector<BatchLookup> results(queries.size());
-  for (int pass = 0; pass < 8; ++pass) {  // > kCacheProbationLookups lookups total
-    EXPECT_EQ(engine.ResolveBatch(queries, results), queries.size());
-  }
-  EXPECT_FALSE(engine.stats().caches_dropped);
-  EXPECT_GT(engine.stats().hit_rate(), 0.9);
 }
 
 TEST(ResultCache, ClockEvictsUnreferencedWaysFirst) {
@@ -442,11 +316,11 @@ RouteSet BuildChainRoutes(const char* org_route) {
 // its own key.  Key-only invalidation left ".b.org"'s cached entry (via ".org")
 // stale when only ".org" changed; the chain-closure pass must condemn it.
 TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
-  RouteSet v1 = BuildChainRoutes("gate!%s");
+  FrozenImage v1 = FrozenImage::Freeze(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
   options.threads = 1;
   options.cache_entries = 64;
-  BatchEngine engine(&v1, options);
+  BatchEngine engine(&v1.routes(), options);
 
   std::vector<std::string_view> query = {".b.org"};
   std::vector<BatchLookup> result(1);
@@ -457,11 +331,11 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
   ASSERT_GT(engine.stats().cache_hits, 0u);
 
   // Same Add order → same id assignment; only ".org"'s route differs.
-  RouteSet v2 = BuildChainRoutes("spool!%s");
-  NameId org = v2.names().Find(".org");
+  FrozenImage v2 = FrozenImage::Freeze(BuildChainRoutes("spool!%s"));
+  NameId org = v2.routes().names().Find(".org");
   ASSERT_NE(org, kNoName);
   std::vector<NameId> dirty = {org};
-  engine.AdoptRoutes(&v2, dirty);
+  engine.AdoptRoutes(&v2.routes(), dirty);
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u);
   EXPECT_EQ(result[0].route.route, "spool!%s")
@@ -471,11 +345,11 @@ TEST(BatchEngine, AdoptRoutesCondemnsSuffixMatchWhoseViaChanged) {
 // Regression: a cached MISS depends on every id of its suffix chain staying
 // routeless.  When ".net" gains a route, the cached miss for ".z.net" must go.
 TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
-  RouteSet v1 = BuildChainRoutes("gate!%s");
+  FrozenImage v1 = FrozenImage::Freeze(BuildChainRoutes("gate!%s"));
   BatchEngineOptions options;
   options.threads = 1;
   options.cache_entries = 64;
-  BatchEngine engine(&v1, options);
+  BatchEngine engine(&v1.routes(), options);
 
   std::vector<std::string_view> query = {".z.net"};
   std::vector<BatchLookup> result(1);
@@ -483,13 +357,14 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
   ASSERT_EQ(engine.ResolveBatch(query, result), 0u);
   ASSERT_GT(engine.stats().cache_hits, 0u);
 
-  RouteSet v2 = BuildChainRoutes("gate!%s");
-  v2.Add(".net", "gate!%s", 1);  // ".net" was already interned: same id, new route
-  NameId net = v2.names().Find(".net");
+  RouteSet routes_v2 = BuildChainRoutes("gate!%s");
+  routes_v2.Add(".net", "gate!%s", 1);  // ".net" was already interned: same id, new route
+  FrozenImage v2 = FrozenImage::Freeze(routes_v2);
+  NameId net = v2.routes().names().Find(".net");
   ASSERT_NE(net, kNoName);
-  ASSERT_EQ(net, v1.names().Find(".net")) << "id stability premise broken";
+  ASSERT_EQ(net, v1.routes().names().Find(".net")) << "id stability premise broken";
   std::vector<NameId> dirty = {net};
-  engine.AdoptRoutes(&v2, dirty);
+  engine.AdoptRoutes(&v2.routes(), dirty);
 
   ASSERT_EQ(engine.ResolveBatch(query, result), 1u)
       << "cached miss survived although its domain gained a route";
@@ -501,8 +376,8 @@ TEST(BatchEngine, AdoptRoutesCondemnsCachedMissWhoseDomainGainedARoute) {
 // surviving cache entries are re-homed onto the fresh storage.  Clobbering the
 // old image's bytes (the moral equivalent of munmap) must not change any result.
 TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
-  RouteSet v1 = BuildChainRoutes("gate!%s");
-  std::string image_a = image::ImageWriter::Freeze(v1);
+  // Image A is adopted from a buffer this test owns, so it can clobber the bytes.
+  std::string image_a = image::ImageWriter::Freeze(BuildChainRoutes("gate!%s"));
   std::string error;
   auto view_a = image::ImageView::Adopt(image_a, image::ImageView::Verify::kChecksum, &error);
   ASSERT_TRUE(view_a.has_value()) << error;
@@ -511,17 +386,14 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
   BatchEngineOptions options;
   options.threads = 1;
   options.cache_entries = 64;
-  FrozenBatchEngine engine(&frozen_a, options);
+  BatchEngine engine(&frozen_a, options);
 
   std::vector<std::string_view> queries = {"a.b.org", ".b.org", ".z.net", "gate"};
   std::vector<BatchLookup> results(queries.size());
   engine.ResolveBatch(queries, results);  // warm the cache with all entry kinds
 
-  RouteSet v2 = BuildChainRoutes("spool!%s");
-  std::string image_b = image::ImageWriter::Freeze(v2);
-  auto view_b = image::ImageView::Adopt(image_b, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view_b.has_value()) << error;
-  FrozenRouteSet frozen_b(*view_b);
+  FrozenImage image_b = FrozenImage::Freeze(BuildChainRoutes("spool!%s"));
+  const FrozenRouteSet& frozen_b = image_b.routes();
   NameId org = frozen_b.names().Find(".org");
   ASSERT_NE(org, kNoName);
   std::vector<NameId> dirty = {org};
@@ -533,7 +405,7 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
 
   std::vector<BatchLookup> after(queries.size());
   engine.ResolveBatch(queries, after);
-  Resolver reference(&v2, ResolveOptions{});
+  Resolver reference(&frozen_b, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   reference.ResolveBatch(queries, expected);
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -551,8 +423,8 @@ TEST(BatchEngine, AdoptRoutesReleasesEveryReferenceToTheOldImage) {
 // The drain counters: started moves before the work, completed after, so a mark
 // taken mid-traffic is reached exactly when every covered batch has returned.
 TEST(BatchEngine, BatchCountersBracketEveryResolve) {
-  RouteSet routes = BuildChainRoutes("gate!%s");
-  BatchEngine engine(&routes, BatchEngineOptions{});
+  FrozenImage image = FrozenImage::Freeze(BuildChainRoutes("gate!%s"));
+  BatchEngine engine(&image.routes(), BatchEngineOptions{});
   EXPECT_EQ(engine.batches_started(), 0u);
   EXPECT_EQ(engine.batches_completed(), 0u);
   std::vector<std::string_view> query = {"gate"};

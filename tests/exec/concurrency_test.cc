@@ -1,5 +1,4 @@
-// Concurrent readers over one route source — the guarantee the serving path stands
-// on.  Run under ThreadSanitizer (cmake -DPATHALIAS_TSAN=ON; the CI tsan job does)
+// Concurrent readers over one image — the guarantee the serving path stands on.  Run under ThreadSanitizer (cmake -DPATHALIAS_TSAN=ON; the CI tsan job does)
 // these tests are the race detector for the whole read path: interner probe,
 // suffix-chain chase, route-record view, engine sharding, pool handoff.
 
@@ -11,10 +10,10 @@
 #include <vector>
 
 #include "src/exec/batch_engine.h"
+#include "src/exec/resolver.h"
 #include "src/exec/thread_pool.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 
 namespace pathalias {
@@ -54,17 +53,13 @@ std::vector<std::string_view> Views(const std::vector<std::string>& pool) {
 // adopted from ONE image buffer — the exact shape of a multi-threaded mail server
 // sharing one mmap'd .pari file.
 TEST(Concurrency, ParallelResolveBatchOverOneFrozenMapping) {
-  RouteSet routes = BuildRoutes();
-  std::string image = image::ImageWriter::Freeze(routes);
-  std::string error;
-  auto view = image::ImageView::Adopt(image, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view.has_value()) << error;
-  FrozenRouteSet frozen(*view);
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
+  const FrozenRouteSet& frozen = image.routes();
 
   std::vector<std::string> pool = BuildQueries();
   std::vector<std::string_view> queries = Views(pool);
 
-  FrozenResolver reference(&frozen, ResolveOptions{});
+  Resolver reference(&frozen, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   size_t expected_resolved = reference.ResolveBatch(queries, expected);
   ASSERT_GT(expected_resolved, 0u);
@@ -74,7 +69,7 @@ TEST(Concurrency, ParallelResolveBatchOverOneFrozenMapping) {
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      FrozenResolver resolver(&frozen, ResolveOptions{});
+      Resolver resolver(&frozen, ResolveOptions{});
       std::vector<BatchLookup> results(queries.size());
       for (int round = 0; round < kRounds; ++round) {
         resolved[static_cast<size_t>(t)] = resolver.ResolveBatch(queries, results);
@@ -93,8 +88,9 @@ TEST(Concurrency, ParallelResolveBatchOverOneFrozenMapping) {
   }
 }
 
-// Several engines — each with its own pool and caches — sharing one frozen mapping:
-// engines are per-serving-thread objects, the route source is the shared one.
+// Several engines — each with its own pool and caches — sharing one frozen mapping,
+// adopted with the structure-only check the watch path uses: engines are
+// per-serving-thread objects, the image is the shared one.
 TEST(Concurrency, ParallelEnginesOverOneFrozenMapping) {
   RouteSet routes = BuildRoutes();
   std::string image = image::ImageWriter::Freeze(routes);
@@ -106,7 +102,7 @@ TEST(Concurrency, ParallelEnginesOverOneFrozenMapping) {
   std::vector<std::string> pool = BuildQueries();
   std::vector<std::string_view> queries = Views(pool);
 
-  FrozenResolver reference(&frozen, ResolveOptions{});
+  Resolver reference(&frozen, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());
   size_t expected_resolved = reference.ResolveBatch(queries, expected);
 
@@ -118,38 +114,10 @@ TEST(Concurrency, ParallelEnginesOverOneFrozenMapping) {
       BatchEngineOptions options;
       options.threads = 2;
       options.cache_entries = 128;
-      FrozenBatchEngine engine(&frozen, options);
+      BatchEngine engine(&frozen, options);
       std::vector<BatchLookup> results(queries.size());
       for (int round = 0; round < kRounds; ++round) {
         ASSERT_EQ(engine.ResolveBatch(queries, results), expected_resolved);
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-}
-
-// Live RouteSet readers: the post-PR1 invariant is that const lookups on the live
-// interner mutate nothing (not even stats), so a parse-built set is as shareable as
-// the frozen one.
-TEST(Concurrency, ParallelResolveBatchOverOneLiveRouteSet) {
-  RouteSet routes = BuildRoutes();
-  std::vector<std::string> pool = BuildQueries();
-  std::vector<std::string_view> queries = Views(pool);
-
-  Resolver reference(&routes, ResolveOptions{});
-  std::vector<BatchLookup> expected(queries.size());
-  size_t expected_resolved = reference.ResolveBatch(queries, expected);
-
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      Resolver resolver(&routes, ResolveOptions{});
-      std::vector<BatchLookup> results(queries.size());
-      for (int round = 0; round < kRounds; ++round) {
-        ASSERT_EQ(resolver.ResolveBatch(queries, results), expected_resolved);
       }
     });
   }
@@ -187,20 +155,21 @@ TEST(Concurrency, WidthOnePoolIsSerial) {
 // stale-vs-fresh cannot diverge — what is being exercised is the key-slot
 // synchronization and the engine's cross-thread Invalidate entry point).
 TEST(Concurrency, CacheInvalidationRacesBatchReaders) {
-  RouteSet routes = BuildRoutes();
+  FrozenImage image = FrozenImage::Freeze(BuildRoutes());
+  const FrozenRouteSet& routes = image.routes();
   std::vector<std::string> pool = BuildQueries();
   std::vector<std::string_view> queries = Views(pool);
 
   // Dirty ids: every third interned destination, the hot-path shape of a 1-file edit.
   std::vector<NameId> dirty;
-  for (size_t i = 0; i < routes.routes().size(); i += 3) {
-    dirty.push_back(routes.routes()[i].name);
+  for (uint32_t i = 0; i < routes.size(); i += 3) {
+    dirty.push_back(routes.RouteAt(i).name);
   }
 
   BatchEngineOptions options;
   options.threads = 4;
   options.cache_entries = 256;
-  BasicBatchEngine<RouteSet> engine(&routes, options);
+  BatchEngine engine(&routes, options);
 
   Resolver reference(&routes, ResolveOptions{});
   std::vector<BatchLookup> expected(queries.size());

@@ -1,5 +1,5 @@
-// The frozen route image: freeze → adopt/mmap → resolve must be indistinguishable from
-// the live RouteSet, and a damaged image must be rejected before anything trusts it.
+// The frozen route image: freeze → adopt/mmap → resolve must reproduce the RouteSet it
+// was frozen from, and a damaged image must be rejected before anything trusts it.
 
 #include <gtest/gtest.h>
 
@@ -8,11 +8,11 @@
 #include <fstream>
 
 #include "src/core/pathalias.h"
+#include "src/exec/resolver.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_format.h"
 #include "src/image/image_view.h"
 #include "src/image/image_writer.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
 
@@ -62,10 +62,8 @@ TEST(ImageWriter, FreezeProducesValidatedImage) {
 
 TEST(ImageWriter, FrozenSetMatchesLiveRouteByRoute) {
   RouteSet routes = PaperRouteSet();
-  std::string buffer = image::ImageWriter::Freeze(routes);
-  auto view = Adopt(buffer, image::ImageView::Verify::kChecksum);
-  ASSERT_TRUE(view.has_value());
-  FrozenRouteSet frozen(*view);
+  FrozenImage image = FrozenImage::Freeze(routes);
+  const FrozenRouteSet& frozen = image.routes();
 
   ASSERT_EQ(frozen.size(), routes.size());
   for (uint32_t i = 0; i < routes.size(); ++i) {
@@ -84,68 +82,9 @@ TEST(ImageWriter, FrozenSetMatchesLiveRouteByRoute) {
   }
 }
 
-TEST(ImageWriter, FrozenResolverAgreesWithLiveResolverOnMixedBatch) {
-  RouteSet routes = PaperRouteSet();
-  std::string buffer = image::ImageWriter::Freeze(routes);
-  auto view = Adopt(buffer, image::ImageView::Verify::kChecksum);
-  ASSERT_TRUE(view.has_value());
-  FrozenRouteSet frozen(*view);
-
-  std::vector<std::string_view> queries = {
-      "phs",                  // exact hit
-      "ucbvax",               // exact hit
-      "caip.rutgers.edu",     // exact hit on a domainized key
-      "blue.rutgers.edu",     // suffix fallback to .edu through an un-interned suffix
-      "deep.caip.rutgers.edu",  // stranger under a known chain
-      "nowhere",              // undotted miss
-      "miss.example.com",     // dotted miss: the suffix walk must drain identically
-      ".edu",                 // a domain key queried directly
-  };
-  std::vector<BatchLookup> live_results(queries.size());
-  std::vector<BatchLookup> frozen_results(queries.size());
-  Resolver live_resolver(&routes, ResolveOptions{});
-  FrozenResolver frozen_resolver(&frozen, ResolveOptions{});
-  size_t live_hits = live_resolver.ResolveBatch(queries, live_results);
-  size_t frozen_hits = frozen_resolver.ResolveBatch(queries, frozen_results);
-  EXPECT_EQ(live_hits, frozen_hits);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(live_results[i].route.ok(), frozen_results[i].route.ok()) << queries[i];
-    EXPECT_EQ(live_results[i].via, frozen_results[i].via) << queries[i];
-    EXPECT_EQ(live_results[i].suffix_match, frozen_results[i].suffix_match) << queries[i];
-    if (live_results[i].route.ok()) {
-      EXPECT_EQ(live_results[i].route.route, frozen_results[i].route.route) << queries[i];
-      EXPECT_EQ(live_results[i].route.cost, frozen_results[i].route.cost) << queries[i];
-    }
-  }
-
-  // Full address resolution, both optimization policies.
-  for (auto optimize : {ResolveOptions::Optimize::kFirstHop,
-                        ResolveOptions::Optimize::kRightmostKnown}) {
-    ResolveOptions options;
-    options.optimize = optimize;
-    Resolver live(&routes, options);
-    FrozenResolver cold(&frozen, options);
-    for (std::string_view address :
-         {"phs!honey", "caip.rutgers.edu!pleasant", "duke!research!ucbvax!mcvax!piet",
-          "pleasant@blue.rutgers.edu", "duke!phs!duke!user", "ghost!user", "honey"}) {
-      Resolution a = live.Resolve(address);
-      Resolution b = cold.Resolve(address);
-      EXPECT_EQ(a.ok, b.ok) << address;
-      EXPECT_EQ(a.route, b.route) << address;
-      EXPECT_EQ(a.via, b.via) << address;
-      EXPECT_EQ(a.argument, b.argument) << address;
-      EXPECT_EQ(a.error, b.error) << address;
-    }
-  }
-}
-
 TEST(ImageWriter, EmptyRouteSetFreezesAndMisses) {
-  RouteSet routes;
-  std::string buffer = image::ImageWriter::Freeze(routes);
-  std::string error;
-  auto view = Adopt(buffer, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view.has_value()) << error;
-  FrozenRouteSet frozen(*view);
+  FrozenImage image = FrozenImage::Freeze(RouteSet());
+  const FrozenRouteSet& frozen = image.routes();
   EXPECT_TRUE(frozen.empty());
   EXPECT_FALSE(frozen.FindRouteView("anything").ok());
   EXPECT_EQ(frozen.names().Find("anything"), kNoName);
@@ -288,7 +227,7 @@ TEST(FrozenImage, FileRoundTripThroughMmap) {
   ASSERT_TRUE(opened.has_value()) << error;
   EXPECT_EQ(opened->routes().size(), routes.size());
 
-  FrozenResolver resolver(&opened->routes(), ResolveOptions{});
+  Resolver resolver(&opened->routes(), ResolveOptions{});
   std::string_view matched;
   RouteView route = resolver.Lookup("blue.rutgers.edu", &matched);
   ASSERT_TRUE(route.ok());

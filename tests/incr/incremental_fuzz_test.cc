@@ -25,12 +25,13 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/baseline/scalar_resolve.h"
 #include "src/core/pathalias.h"
 #include "src/exec/batch_engine.h"
+#include "src/exec/resolver.h"
 #include "src/image/frozen_route_set.h"
 #include "src/image/image_writer.h"
 #include "src/incr/map_builder.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 #include "src/support/rng.h"
 
@@ -111,14 +112,13 @@ std::string ReferenceSortedRoutes(const std::vector<InputFile>& files,
   return RouteSet::FromEntries(result.routes).ToSortedText(/*include_costs=*/true);
 }
 
-// Resolves `queries` against any route source and formats the outcomes; all
-// backends and execution modes must produce these bytes identically.
-template <typename RouteSourceT>
-std::string FormatBatch(const RouteSourceT& source,
+// Resolves `queries` against an image and formats the outcomes; every way of
+// building the image and every execution mode must produce these bytes identically.
+std::string FormatBatch(const FrozenRouteSet& source,
                         const std::vector<std::string_view>& queries, int threads) {
   exec::BatchEngineOptions options;
   options.threads = threads;
-  exec::BasicBatchEngine<RouteSourceT> engine(&source, options);
+  exec::BatchEngine engine(&source, options);
   std::vector<BatchLookup> results(queries.size());
   engine.ResolveBatch(queries, results);
   std::string out;
@@ -523,7 +523,8 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
         << (stats.patched ? " (patched: " : " (rebuilt: ") << stats.rebuild_reason << ")";
 
     if (step % 20 == 19) {
-      // Cross-backend, cross-execution-mode equivalence on a mixed query load.
+      // Images built three ways (fresh run, patched builder, refrozen file) and
+      // every execution mode must agree on a mixed query load.
       std::vector<std::string> names = model.AllHostNames();
       names.push_back("unknown-host");
       names.push_back("stranger.example");
@@ -533,19 +534,21 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
       RunOptions options;
       options.local = local;
       RunResult reference = pathalias::Run(rendered, options, &diag);
-      RouteSet reference_routes = RouteSet::FromEntries(reference.routes);
+      FrozenImage reference_image =
+          FrozenImage::Freeze(RouteSet::FromEntries(reference.routes));
+      FrozenImage builder_image = FrozenImage::Freeze(builder.routes());
 
-      std::string expected = FormatBatch(reference_routes, queries, /*threads=*/1);
-      EXPECT_EQ(FormatBatch(builder.routes(), queries, 1), expected) << "step " << step;
-      EXPECT_EQ(FormatBatch(builder.routes(), queries, 4), expected) << "step " << step;
+      std::string expected = FormatBatch(reference_image.routes(), queries, /*threads=*/1);
+      EXPECT_EQ(FormatBatch(builder_image.routes(), queries, 1), expected) << "step " << step;
+      EXPECT_EQ(FormatBatch(builder_image.routes(), queries, 4), expected) << "step " << step;
 
       // The pipelined batch loop must stay byte-identical to the scalar
       // reference over every evolving topology this fuzz produces, at a
       // degenerate, the default, and the maximum window.
       {
-        Resolver resolver(&builder.routes(), ResolveOptions{});
+        Resolver resolver(&builder_image.routes(), ResolveOptions{});
         std::vector<BatchLookup> scalar(queries.size());
-        size_t scalar_resolved = resolver.ResolveBatchScalar(queries, scalar);
+        size_t scalar_resolved = ResolveBatchScalar(resolver, queries, scalar);
         for (size_t window : {size_t{1}, Resolver::kDefaultPipelineWindow,
                               Resolver::kMaxPipelineWindow}) {
           std::vector<BatchLookup> pipelined(queries.size());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/exec/batch_engine.h"
+#include "src/image/frozen_route_set.h"
 #include "src/route_db/route_db.h"
 
 namespace pathalias {
@@ -42,13 +43,14 @@ CommandResult RunCommand(const std::string& command) {
 }
 
 // What `routedb batch` must print on stdout for the well-formed `hosts`, computed
-// in process over a live RouteSet parsed from the route text the image was frozen
-// from.  The image-backed CLI output is compared to it byte for byte.
-std::string LiveBatchStdout(const std::string& routes_path,
-                            const std::vector<std::string>& hosts) {
+// in process over the route text the image was frozen from, parsed and frozen in
+// memory.  The CLI's output from its image file is compared to it byte for byte.
+std::string InProcessBatchStdout(const std::string& routes_path,
+                                 const std::vector<std::string>& hosts) {
   std::ifstream in(routes_path);
   std::string text((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  RouteSet routes = RouteSet::FromText(text);
+  FrozenImage image = FrozenImage::Freeze(RouteSet::FromText(text));
+  const FrozenRouteSet& routes = image.routes();
   exec::BatchEngine engine(&routes, exec::BatchEngineOptions{});
   std::vector<std::string_view> queries(hosts.begin(), hosts.end());
   std::vector<BatchLookup> results(queries.size());
@@ -200,8 +202,8 @@ TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
   EXPECT_NE(resolve.output.find("duke!research!ucbvax!honey@mit-ai"), std::string::npos)
       << resolve.output;
 
-  // The acceptance bar: batch output from the image is byte-identical to the
-  // live RouteSet's on the same query stream.
+  // The acceptance bar: batch output from the image file is byte-identical to
+  // resolving the route text in process on the same query stream.
   const std::vector<std::string> queries = {"phs", "nowhere", "mit-ai",
                                             "ducati.dealers.com", "research"};
   std::string hosts = (dir_ / "hosts.txt").string();
@@ -214,7 +216,7 @@ TEST_F(CliTest, RoutedbFreezeAndImageBackedQueries) {
   CommandResult image_batch = RunCommand("( " + std::string(ROUTEDB_BIN) + " batch " + pari +
                                          " " + hosts + " 2>/dev/null )");
   EXPECT_EQ(image_batch.status, 0);
-  EXPECT_EQ(image_batch.output, LiveBatchStdout(routes, queries));
+  EXPECT_EQ(image_batch.output, InProcessBatchStdout(routes, queries));
 
   // A truncated image is rejected up front, not half-served.
   std::string broken = (dir_ / "broken.pari").string();
@@ -615,6 +617,12 @@ TEST_F(CliTest, NumericFlagOperandsAreValidatedEverywhere) {
        "--cache-entries"},
       {"batch cache negative",
        std::string(ROUTEDB_BIN) + " batch --cache-entries -1 db < /dev/null",
+       "--cache-entries"},
+      // The daemon always serves through a cache: 0 is refused while parsing, so
+      // the missing image is never opened and no daemon starts.
+      {"routedbd cache zero",
+       std::string(ROUTEDBD_BIN) + " --image " + (dir_ / "missing.pari").string() +
+           " --unix " + (dir_ / "routedbd.sock").string() + " --cache-entries 0",
        "--cache-entries"},
   };
   for (const Case& test_case : cases) {

@@ -8,11 +8,9 @@
 #include <unordered_set>
 
 #include "src/core/pathalias.h"
+#include "src/exec/resolver.h"
 #include "src/image/frozen_route_set.h"
-#include "src/image/image_view.h"
-#include "src/image/image_writer.h"
 #include "src/mapgen/mapgen.h"
-#include "src/route_db/resolver.h"
 #include "src/route_db/route_db.h"
 
 namespace pathalias {
@@ -193,16 +191,11 @@ TEST(Pipeline, GeneratedMapRoundTripsThroughRouteDbAndResolver) {
   // text → RouteSet → frozen image survives intact.
   RouteSet from_text = RouteSet::FromText(result.output, &diag);
   EXPECT_EQ(from_text.size(), result.routes.size());
-  std::string image_bytes = image::ImageWriter::Freeze(from_text);
-  std::string error;
-  auto view =
-      image::ImageView::Adopt(image_bytes, image::ImageView::Verify::kChecksum, &error);
-  ASSERT_TRUE(view.has_value()) << error;
-  FrozenRouteSet frozen(*view);
-  EXPECT_EQ(frozen.size(), from_text.size());
+  FrozenImage image = FrozenImage::Freeze(from_text);
+  EXPECT_EQ(image.routes().size(), from_text.size());
 
   // Every mapped, printed host resolves through the resolver.
-  FrozenResolver resolver(&frozen, ResolveOptions{});
+  Resolver resolver(&image.routes(), ResolveOptions{});
   int resolved = 0;
   for (const RouteEntry& entry : result.routes) {
     Resolution resolution = resolver.Resolve(entry.name + "!user");

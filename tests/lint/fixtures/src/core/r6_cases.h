@@ -9,7 +9,7 @@
 #include "src/graph/graph.h"
 #include "src/net/daemon.h"  // EXPECT-FINDING: R6
 #include "src/parser/parser.h"
-#include "src/route_db/resolver.h"  // EXPECT-FINDING: R6
+#include "src/route_db/route_db.h"  // EXPECT-FINDING: R6
 #include "src/support/interner.h"
 
 #endif  // FIXTURE_R6_CASES_H_

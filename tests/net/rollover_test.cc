@@ -264,7 +264,7 @@ TEST_F(RolloverDaemonTest, WatchPicksUpExternalImageReplacement) {
 TEST_F(RolloverDaemonTest, WatchSurvivesIncompatibleImageRebuild) {
   StartDaemon(/*with_map_files=*/false, /*watch_interval_ms=*/1);
   EXPECT_EQ(RouteOf(1, "leafc"), "far!leafc!%s");
-  exec::FrozenBatchEngine* old_engine = daemon_->engine();
+  exec::BatchEngine* old_engine = daemon_->engine();
 
   {  // A from-scratch build with a different name order: ids do not line up.
     std::vector<InputFile> files = {

@@ -1,6 +1,8 @@
-#include "src/route_db/headers.h"
+#include "src/exec/headers.h"
 
 #include <gtest/gtest.h>
+
+#include "src/image/frozen_route_set.h"
 
 namespace pathalias {
 namespace {
@@ -17,8 +19,8 @@ RouteSet CbosgdRoutes() {
 
 class HeadersTest : public ::testing::Test {
  protected:
-  RouteSet routes = CbosgdRoutes();
-  Resolver resolver{&routes, ResolveOptions{}};
+  FrozenImage image = FrozenImage::Freeze(CbosgdRoutes());
+  Resolver resolver{&image.routes(), ResolveOptions{}};
   HeaderRewriter originator{"cbosgd", &resolver};
   HeaderRewriter relay{"princeton", nullptr};
 };

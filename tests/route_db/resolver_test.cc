@@ -1,6 +1,8 @@
-#include "src/route_db/resolver.h"
+#include "src/exec/resolver.h"
 
 #include <gtest/gtest.h>
+
+#include "src/image/frozen_route_set.h"
 
 namespace pathalias {
 namespace {
@@ -16,13 +18,20 @@ RouteSet PaperRoutes() {
   return set;
 }
 
-Resolver MakeResolver(const RouteSet& routes, ResolveOptions options = {}) {
-  return Resolver(&routes, options);
-}
+// The routes frozen into an in-memory image, and a resolver over it.
+struct Db {
+  explicit Db(const RouteSet& routes, ResolveOptions options = {})
+      : image(FrozenImage::Freeze(routes)), resolver(&image.routes(), options) {}
+  const NameInterner& names() const { return image.routes().names(); }
+
+  FrozenImage image;
+  Resolver resolver;
+};
 
 TEST(Resolver, ExactHostMatch) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("phs!honey");
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.route, "duke!phs!honey");
@@ -34,7 +43,8 @@ TEST(Resolver, PaperDomainExampleExactEntry) {
   // uses argument pleasant, producing seismo!caip.rutgers.edu!pleasant."
   RouteSet routes = PaperRoutes();
   routes.Add("caip.rutgers.edu", "seismo!caip.rutgers.edu!%s", 195);
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("caip.rutgers.edu!pleasant");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "caip.rutgers.edu");
@@ -47,7 +57,8 @@ TEST(Resolver, PaperDomainExampleSuffixFallback) {
   // seismo!%s ... The argument here is not pleasant (as it were), it is
   // caip.rutgers.edu!pleasant, producing seismo!caip.rutgers.edu!pleasant, as before."
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("caip.rutgers.edu!pleasant");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, ".edu");
@@ -58,7 +69,8 @@ TEST(Resolver, PaperDomainExampleSuffixFallback) {
 TEST(Resolver, LongestDomainSuffixWinsOverShorter) {
   RouteSet routes = PaperRoutes();
   routes.Add(".rutgers.edu", "caip!%s", 50);
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("blue.rutgers.edu!user");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, ".rutgers.edu");
@@ -67,7 +79,8 @@ TEST(Resolver, LongestDomainSuffixWinsOverShorter) {
 
 TEST(Resolver, Rfc822FormResolvesLikeBangForm) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("pleasant@caip.rutgers.edu");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.route, "seismo!caip.rutgers.edu!pleasant");
@@ -75,7 +88,8 @@ TEST(Resolver, Rfc822FormResolvesLikeBangForm) {
 
 TEST(Resolver, LocalUserNeedsNoRoute) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("honey");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.route, "honey");
@@ -84,7 +98,8 @@ TEST(Resolver, LocalUserNeedsNoRoute) {
 
 TEST(Resolver, UnknownHostFails) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("nowhere!user");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("nowhere"), std::string::npos);
@@ -92,14 +107,16 @@ TEST(Resolver, UnknownHostFails) {
 
 TEST(Resolver, EmptyAddressFails) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   EXPECT_FALSE(resolver.Resolve("").ok);
 }
 
 TEST(Resolver, FirstHopHandsRemainderToFirstRelay) {
   // A USENET reply path: route to the first site, pass the rest through.
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("duke!research!ucbvax!mcvax!piet");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "duke");
@@ -112,7 +129,8 @@ TEST(Resolver, RightmostKnownShortensThePath) {
   ResolveOptions options;
   options.optimize = ResolveOptions::Optimize::kRightmostKnown;
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes, options);
+  Db db(routes, options);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("duke!research!ucbvax!mcvax!piet");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "ucbvax");
@@ -133,7 +151,8 @@ TEST(Resolver, LoopTestsSurviveOptimization) {
   ResolveOptions options;
   options.optimize = ResolveOptions::Optimize::kRightmostKnown;
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes, options);
+  Db db(routes, options);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("duke!phs!duke!user");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "duke") << "path repeats duke: no rightmost rewriting";
@@ -145,7 +164,8 @@ TEST(Resolver, LoopPreservationCanBeDisabled) {
   options.optimize = ResolveOptions::Optimize::kRightmostKnown;
   options.preserve_loops = false;
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes, options);
+  Db db(routes, options);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("duke!phs!duke!user");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "duke");
@@ -157,7 +177,8 @@ TEST(Resolver, RightmostFallsBackToFirstHopWhenNothingKnown) {
   ResolveOptions options;
   options.optimize = ResolveOptions::Optimize::kRightmostKnown;
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes, options);
+  Db db(routes, options);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("duke!unknown1!unknown2!user");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "duke");
@@ -167,7 +188,8 @@ TEST(Resolver, DomainSuffixOnRelayInsideRewrittenPath) {
   ResolveOptions options;
   options.optimize = ResolveOptions::Optimize::kRightmostKnown;
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes, options);
+  Db db(routes, options);
+  const Resolver& resolver = db.resolver;
   // Rightmost known is the domain member (via .edu suffix).
   Resolution r = resolver.Resolve("duke!caip.rutgers.edu!user");
   ASSERT_TRUE(r.ok);
@@ -177,19 +199,21 @@ TEST(Resolver, DomainSuffixOnRelayInsideRewrittenPath) {
 
 TEST(Resolver, LookupReturnsViewIntoRouteSetStorage) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::string_view matched;
   RouteView route = resolver.Lookup("caip.rutgers.edu", &matched);
   ASSERT_TRUE(route.ok());
   EXPECT_EQ(matched, ".edu");
-  EXPECT_EQ(matched.data(), routes.names().View(routes.names().Find(".edu")).data())
+  EXPECT_EQ(matched.data(), db.names().View(db.names().Find(".edu")).data())
       << "matched key is the interner's copy, not an allocation";
 }
 
 TEST(Resolver, BatchMixedQueries) {
   RouteSet routes = PaperRoutes();
   routes.Add(".rutgers.edu", "caip!%s", 50);
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<std::string_view> hosts = {
       "phs",                // exact hit
       "caip.rutgers.edu",   // longest-suffix fallback (.rutgers.edu beats .edu)
@@ -202,29 +226,30 @@ TEST(Resolver, BatchMixedQueries) {
   EXPECT_EQ(resolver.ResolveBatch(hosts, results), 4u);
 
   ASSERT_TRUE(results[0].route.ok());
-  EXPECT_EQ(routes.names().View(results[0].via), "phs");
+  EXPECT_EQ(db.names().View(results[0].via), "phs");
   EXPECT_FALSE(results[0].suffix_match);
 
   ASSERT_TRUE(results[1].route.ok());
-  EXPECT_EQ(routes.names().View(results[1].via), ".rutgers.edu");
+  EXPECT_EQ(db.names().View(results[1].via), ".rutgers.edu");
   EXPECT_TRUE(results[1].suffix_match);
 
   ASSERT_TRUE(results[2].route.ok());
-  EXPECT_EQ(routes.names().View(results[2].via), ".edu");
+  EXPECT_EQ(db.names().View(results[2].via), ".edu");
   EXPECT_TRUE(results[2].suffix_match);
 
   EXPECT_FALSE(results[3].route.ok());
   EXPECT_FALSE(results[4].route.ok());
 
   ASSERT_TRUE(results[5].route.ok());
-  EXPECT_EQ(routes.names().View(results[5].via), ".edu");
+  EXPECT_EQ(db.names().View(results[5].via), ".edu");
   EXPECT_FALSE(results[5].suffix_match);
 }
 
 TEST(Resolver, BatchAgreesWithSingleLookupOnEveryQuery) {
   RouteSet routes = PaperRoutes();
   routes.Add(".rutgers.edu", "caip!%s", 50);
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<std::string_view> hosts = {"seismo", "duke",    "phs",  "ucbvax",
                                          ".edu",   "a.b.edu", "x.y.z", "ghost"};
   std::vector<BatchLookup> results(hosts.size());
@@ -236,14 +261,15 @@ TEST(Resolver, BatchAgreesWithSingleLookupOnEveryQuery) {
     EXPECT_EQ(single.name, results[i].route.name) << hosts[i];
     EXPECT_EQ(single.route, results[i].route.route) << hosts[i];
     if (single.ok()) {
-      EXPECT_EQ(matched, routes.names().View(results[i].via)) << hosts[i];
+      EXPECT_EQ(matched, db.names().View(results[i].via)) << hosts[i];
     }
   }
 }
 
 TEST(Resolver, BatchEmptySpansResolveNothing) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<BatchLookup> results;
   EXPECT_EQ(resolver.ResolveBatch({}, results), 0u);
   std::vector<std::string_view> hosts = {"phs"};
@@ -255,7 +281,8 @@ TEST(Resolver, BatchTruncatesToTheShorterResultsSpan) {
   // The documented contract: only the common prefix of the two spans is processed —
   // never a write past results.end().
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<std::string_view> hosts = {"phs", "nowhere", "duke"};
   std::vector<BatchLookup> results(2);
   EXPECT_EQ(resolver.ResolveBatch(hosts, results), 1u)
@@ -268,7 +295,8 @@ TEST(Resolver, BatchWhitespaceAndEmptyQueriesAreMisses) {
   // Queries with no routable shape — empty, all blanks, a lone dot — are plain
   // misses, not errors, and must drain the walk cleanly.
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<std::string_view> hosts = {"", " ", "  \t ", ".", "phs"};
   std::vector<BatchLookup> results(hosts.size());
   EXPECT_EQ(resolver.ResolveBatch(hosts, results), 1u);
@@ -282,7 +310,8 @@ TEST(Resolver, BatchWhitespaceAndEmptyQueriesAreMisses) {
 TEST(Resolver, LookupOneAgreesWithBatchSlots) {
   RouteSet routes = PaperRoutes();
   routes.Add(".rutgers.edu", "caip!%s", 50);
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   std::vector<std::string_view> hosts = {"phs", "caip.rutgers.edu", "x.y.z", ".edu", " "};
   std::vector<BatchLookup> results(hosts.size());
   resolver.ResolveBatch(hosts, results);
@@ -296,7 +325,8 @@ TEST(Resolver, LookupOneAgreesWithBatchSlots) {
 
 TEST(Resolver, PercentFormResolves) {
   RouteSet routes = PaperRoutes();
-  Resolver resolver = MakeResolver(routes);
+  Db db(routes);
+  const Resolver& resolver = db.resolver;
   Resolution r = resolver.Resolve("user%phs@duke");
   ASSERT_TRUE(r.ok);
   EXPECT_EQ(r.via, "duke");
