@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <climits>
+#include <iterator>
 #include <optional>
 #include <unordered_map>
 
@@ -166,6 +167,7 @@ void Mapper::ApplyTraceRequests() {
 PathLabel* Mapper::MakeLabel(Node* node, uint8_t taint) {
   PathLabel* label = graph_->arena().New<PathLabel>();
   label->node = node;
+  label->seq = static_cast<uint32_t>(result_->labels.size());
   label->taint = taint;
   result_->labels.push_back(label);
   ++result_->label_count;
@@ -228,37 +230,86 @@ void Mapper::Relax(PathLabel& from, Link& link, MapperHeap& heap, Result& result
   }
 }
 
-void Mapper::CollectFinalStats(Result& result) const {
+namespace {
+
+// Which of Result's per-node aggregates a node feeds.  CollectFinalStats sums them
+// over the graph; Patch keeps each node's bits (PatchIndex::counted) so that it can
+// re-sum only the nodes it touched.
+enum FeedBit : uint8_t {
+  kFeedsUnreachable = 1u << 0,
+  kFeedsMapped = 1u << 1,
+  kFeedsMixedSyntax = 1u << 2,
+  kFeedsSyntaxPenalized = 1u << 3,
+  kFeedsPenalized = 1u << 4,
+};
+
+uint8_t FeedsOf(const Node* node) {
+  if (node->deleted() || node->placeholder()) {
+    return 0;
+  }
+  if (node->cost == kUnreached) {
+    return kFeedsUnreachable;
+  }
+  uint8_t feeds = kFeedsMapped;
+  // Settle marks only a node's first label best, so at most one slot contributes.
+  for (const PathLabel* label : node->label) {
+    if (label == nullptr || !label->best) {
+      continue;
+    }
+    if (label->has_left && label->has_right) {
+      feeds |= kFeedsMixedSyntax;
+    }
+    if ((label->penalties & kPenaltySyntax) != 0) {
+      feeds |= kFeedsSyntaxPenalized;
+    }
+    if (label->penalties != 0) {
+      feeds |= kFeedsPenalized;
+    }
+  }
+  return feeds;
+}
+
+// Adds one node's share to the aggregates, or takes it back out.  The unreachable
+// list is the caller's to keep.
+void Tally(Mapper::Result& result, uint8_t feeds, bool remove) {
+  auto count = [remove](size_t& counter) { remove ? --counter : ++counter; };
+  if ((feeds & kFeedsUnreachable) != 0) {
+    count(result.unreachable_hosts);
+  }
+  if ((feeds & kFeedsMapped) != 0) {
+    count(result.mapped_hosts);
+  }
+  if ((feeds & kFeedsMixedSyntax) != 0) {
+    count(result.mixed_syntax_routes);
+  }
+  if ((feeds & kFeedsSyntaxPenalized) != 0) {
+    count(result.syntax_penalized_routes);
+  }
+  if ((feeds & kFeedsPenalized) != 0) {
+    count(result.penalized_routes);
+  }
+}
+
+}  // namespace
+
+void Mapper::CollectFinalStats(Result& result, std::vector<uint8_t>* counted) const {
   result.mapped_hosts = 0;
   result.unreachable_hosts = 0;
   result.mixed_syntax_routes = 0;
   result.syntax_penalized_routes = 0;
   result.penalized_routes = 0;
   result.unreachable.clear();
+  if (counted != nullptr) {
+    counted->assign(graph_->node_count(), 0);
+  }
   for (Node* node : graph_->nodes()) {
-    if (node->deleted() || node->placeholder()) {
-      continue;
-    }
-    if (node->cost == kUnreached) {
-      ++result.unreachable_hosts;
+    uint8_t feeds = FeedsOf(node);
+    Tally(result, feeds, /*remove=*/false);
+    if ((feeds & kFeedsUnreachable) != 0) {
       result.unreachable.push_back(node);
-      continue;
     }
-    ++result.mapped_hosts;
-    for (uint8_t slot = 0; slot < 2; ++slot) {
-      PathLabel* label = node->label[slot];
-      if (label == nullptr || !label->best) {
-        continue;
-      }
-      if (label->has_left && label->has_right) {
-        ++result.mixed_syntax_routes;
-      }
-      if ((label->penalties & kPenaltySyntax) != 0) {
-        ++result.syntax_penalized_routes;
-      }
-      if (label->penalties != 0) {
-        ++result.penalized_routes;
-      }
+    if (counted != nullptr) {
+      (*counted)[node->order] = feeds;
     }
   }
 }
@@ -414,12 +465,19 @@ Mapper::Result Mapper::Run() {
 
 struct Mapper::PatchState {
   // Per node, by node->order: kDirty once its route may have changed (phase 1 also
-  // recomputes its label), kListed once phase 2 has listed it as unreached.
+  // recomputes its label), kListed once phase 2 has listed it as unreached, kSource
+  // while a seeding round has it queued, kTouched once the closing bookkeeping has it.
   static constexpr uint8_t kDirty = 1;
   static constexpr uint8_t kListed = 2;
+  static constexpr uint8_t kSource = 4;
+  static constexpr uint8_t kTouched = 8;
   std::vector<uint8_t> marks;
   std::vector<Node*> dirty_nodes;
-  std::vector<PathLabel*> stack;  // DirtySubtree scratch
+  std::vector<PathLabel*> stack;     // DirtySubtree scratch
+  std::vector<PathLabel*> children;  // DirtySubtree scratch
+  // Seeds' old labels whose tree link the edit removed, by old parent: DirtySubtree
+  // cannot find them through the parent's out-links any more.
+  std::unordered_map<const PathLabel*, std::vector<PathLabel*>> unlinked_children;
   bool reopened = false;
   // First refusal the drain hit, if any: a tie whose full-run winner depends on
   // alias-warped pop order, or a late arrival that invalidates an already-drained
@@ -439,10 +497,10 @@ struct Mapper::PatchState {
     marks[node->order] |= kDirty;
     dirty_nodes.push_back(node);
   }
-  // True the first time it is called for `node`.
-  bool MarkListed(const Node* node) {
-    bool first = (marks[node->order] & kListed) == 0;
-    marks[node->order] |= kListed;
+  // True the first time it is called for `node` (per mark bit).
+  bool Mark(const Node* node, uint8_t bit) {
+    bool first = (marks[node->order] & bit) == 0;
+    marks[node->order] |= bit;
     return first;
   }
 };
@@ -475,7 +533,26 @@ void Mapper::DirtySubtree(Node* node, PatchState& state) {
   while (!state.stack.empty()) {
     PathLabel* current = state.stack.back();
     state.stack.pop_back();
-    for (PathLabel* child = current->child; child != nullptr; child = child->sibling) {
+    // The first drain's tree children of `current`: every label whose tree link is
+    // one of its node's out-links, plus the ones whose tree link the edit removed.
+    // They are visited in descending seq (Result::labels order, reversed), so the
+    // dirty list, and with it the order new route names enter the route set, is a
+    // function of the mapping alone.
+    std::vector<PathLabel*>& children = state.children;
+    children.clear();
+    for (Link* link = current->node->links; link != nullptr; link = link->next) {
+      PathLabel* child = link->to->label[0];
+      if (child != nullptr && child->parent == current && child->via == link &&
+          child->mapped && child->pass == 0) {
+        children.push_back(child);
+      }
+    }
+    if (auto it = state.unlinked_children.find(current); it != state.unlinked_children.end()) {
+      children.insert(children.end(), it->second.begin(), it->second.end());
+    }
+    std::sort(children.begin(), children.end(),
+              [](const PathLabel* a, const PathLabel* b) { return a->seq > b->seq; });
+    for (PathLabel* child : children) {
       Node* child_node = child->node;
       if (state.IsDirty(child_node)) {
         continue;  // its subtree was reset when it was
@@ -694,28 +771,44 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
   result_ = &result;
   PatchState state;
   state.marks.assign(graph_->node_count(), 0);
+  graph_->TrackInLinks();
+  const size_t old_label_count = result.labels.size();
+  const size_t old_mapped_labels = result.mapped_labels;
 
-  // Rebuild the first drain's tree as child lists (the route printer may have left
-  // its own).  Labels a back-link pass settled stay out of it and are cleared
+  // The labels a back-link pass settled stay out of phase 1 and are cleared
   // instead: phase 2 recomputes every one of them, and phase 1 must see what a fresh
   // Run's first drain sees, which never reaches them.
   std::vector<const PathLabel*> old_back;  // in label order, for determinism
-  std::unordered_map<const Node*, const PathLabel*> old_back_of;
-  for (PathLabel* label : result.labels) {
-    label->child = nullptr;
-    label->sibling = nullptr;
+  if (result.patch_index.has_value()) {
+    old_back.assign(result.patch_index->back_linked.begin(),
+                    result.patch_index->back_linked.end());
+  } else {
+    for (const PathLabel* label : result.labels) {
+      if (label->mapped && label->pass > 0) {
+        old_back.push_back(label);
+      }
+    }
   }
-  for (PathLabel* label : result.labels) {
-    if (!label->mapped) {
+  std::unordered_map<const Node*, const PathLabel*> old_back_of;
+  for (const PathLabel* label : old_back) {
+    old_back_of.emplace(label->node, label);
+    ResetMappingState(label->node);
+  }
+
+  // A seed whose tree link was removed is off its old parent's out-links; note it
+  // under that parent so the parent's subtree walk still meets it (the contract
+  // makes every such node a seed: it lost an in-link).
+  for (Node* seed : dirty_seeds) {
+    PathLabel* label = seed->label[0];
+    if (label == nullptr || !label->mapped || label->pass > 0 || label->parent == nullptr) {
       continue;
     }
-    if (label->pass > 0) {
-      old_back.push_back(label);
-      old_back_of.emplace(label->node, label);
-      ResetMappingState(label->node);
-    } else if (label->parent != nullptr) {
-      label->sibling = label->parent->child;
-      label->parent->child = label;
+    bool linked = false;
+    for (Link* link = label->parent->node->links; link != nullptr && !linked; link = link->next) {
+      linked = link == label->via;
+    }
+    if (!linked) {
+      state.unlinked_children[label->parent].push_back(label);
     }
   }
 
@@ -729,12 +822,26 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
   // --- phase 1: the first drain, over declared links ---
   //
   // Alternate boundary seeding and draining until no drain reopens clean territory.
-  // Seeding relaxes every clean final label across the boundary into the dirty
-  // region; the drain is Run's extraction loop with the patch relaxation rule.
-  // Re-relaxing an already-drained dirty target is a no-op (mapped, final), so the
-  // rescans stay idempotent.
+  // Seeding relaxes every final label across the boundary into the dirty region;
+  // the drain is Run's extraction loop with the patch relaxation rule.  Re-relaxing
+  // an already-drained dirty target is a no-op (mapped, final), so the rescans stay
+  // idempotent.  The seeding sources are the nodes with a link into the region,
+  // taken from the graph's in-link index and visited in node order, so the order of
+  // relaxations does not depend on how the index happens to hold them.
+  std::vector<Node*> sources;
   do {
-    for (Node* node : graph_->nodes()) {
+    sources.clear();
+    for (Node* dirty : state.dirty_nodes) {
+      for (Node* source : graph_->InLinkSources(dirty)) {
+        if (state.Mark(source, PatchState::kSource)) {
+          sources.push_back(source);
+        }
+      }
+    }
+    std::sort(sources.begin(), sources.end(),
+              [](const Node* a, const Node* b) { return a->order < b->order; });
+    for (Node* node : sources) {
+      state.marks[node->order] &= static_cast<uint8_t>(~PatchState::kSource);
       if (node->deleted()) {
         continue;
       }
@@ -767,13 +874,14 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
   }
 
   // --- phase 2: the back-link pass, redone from scratch ---
+  std::vector<PathLabel*> settled;  // in pop order: parents before children
   if (options_.back_links && options_.max_back_link_passes > 0) {
     // The hosts phase 1 left unreached.  Only old unreachable or back-link-reached
     // hosts and phase-1 dirty nodes can be: every other label is clean and final.
     std::vector<Node*> unreached;
     auto list = [&](Node* node) {
       if (!node->deleted() && !node->placeholder() && node->cost == kUnreached &&
-          state.MarkListed(node)) {
+          state.Mark(node, PatchState::kListed)) {
         unreached.push_back(node);
       }
     };
@@ -838,7 +946,6 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
         Relax(*back_links[i].first, *back_links[i].second, heap, result);
       }
     }
-    std::vector<PathLabel*> settled;  // in pop order: parents before children
     Drain(heap, result, &settled);
 
     // Run invents again when a host still unreached links into the mapped region.
@@ -879,24 +986,127 @@ std::optional<std::vector<Node*>> Mapper::Patch(Result& result,
     }
   }
 
-  // Rebuild the label list from the nodes (dropping the discarded labels) and
-  // recompute the aggregates the labels feed.
-  result.labels.clear();
-  for (Node* node : graph_->nodes()) {
-    if (node->label[0] != nullptr) {
-      result.labels.push_back(node->label[0]);
+  // Every node whose label or declarations may have changed: the dirty region, the
+  // back-link-reached nodes old and new, and the nodes created since the last
+  // accounting.  Nothing else moved.
+  std::vector<Node*> touched;
+  auto touch = [&](Node* node) {
+    if (state.Mark(node, PatchState::kTouched)) {
+      touched.push_back(node);
+    }
+  };
+  for (Node* node : state.dirty_nodes) {
+    touch(node);
+  }
+  for (const PathLabel* label : old_back) {
+    touch(label->node);
+  }
+  for (PathLabel* label : settled) {
+    touch(label->node);
+  }
+  if (result.patch_index.has_value()) {
+    for (size_t order = result.patch_index->counted.size(); order < graph_->node_count();
+         ++order) {
+      touch(graph_->nodes()[order]);
     }
   }
-  result.label_count = result.labels.size();
-  result.mapped_labels = 0;
-  for (PathLabel* label : result.labels) {
-    if (label->mapped) {
-      ++result.mapped_labels;
-    }
-  }
-  CollectFinalStats(result);
+  // Phase 2's Drain counted its pops; the index recounts from the labels instead.
+  result.mapped_labels = old_mapped_labels;
+  UpdatePatchIndex(result, touched, old_label_count, std::move(settled));
   result_ = nullptr;
   return std::move(state.dirty_nodes);
+}
+
+void Mapper::UpdatePatchIndex(Result& result, std::vector<Node*>& touched,
+                              size_t old_label_count,
+                              std::vector<PathLabel*> back_linked) const {
+  auto by_order = [](const auto* a, const auto* b) { return a->order < b->order; };
+  std::sort(back_linked.begin(), back_linked.end(),
+            [&](const PathLabel* a, const PathLabel* b) { return by_order(a->node, b->node); });
+  if (!result.patch_index.has_value()) {
+    // The first patch since Run: one pass puts the labels in node order and records
+    // what each node feeds.
+    result.labels.clear();
+    result.mapped_labels = 0;
+    for (Node* node : graph_->nodes()) {
+      if (PathLabel* label = node->label[0]) {
+        label->seq = static_cast<uint32_t>(node->order);
+        result.labels.push_back(label);
+        result.mapped_labels += label->mapped ? 1 : 0;
+      }
+    }
+    result.label_count = result.labels.size();
+    Result::PatchIndex index;
+    CollectFinalStats(result, &index.counted);
+    index.back_linked = std::move(back_linked);
+    result.patch_index = std::move(index);
+    return;
+  }
+  Result::PatchIndex& index = *result.patch_index;
+  index.back_linked = std::move(back_linked);
+  std::sort(touched.begin(), touched.end(), by_order);
+
+  // Labels: the list was in node order when the patch began (MakeLabel has appended
+  // the new labels since; drop those).  Each touched node's old entry, if any, gives
+  // way to its current label, if any; every other entry stays where it was.
+  std::vector<PathLabel*>& labels = result.labels;
+  labels.resize(old_label_count);
+  std::vector<PathLabel*> merged;
+  merged.reserve(old_label_count + touched.size());
+  size_t kept = 0;  // labels[0, kept) are already in `merged` or dropped
+  for (Node* node : touched) {
+    auto at = std::lower_bound(labels.begin() + static_cast<long>(kept), labels.end(),
+                               static_cast<uint32_t>(node->order),
+                               [](const PathLabel* label, uint32_t order) {
+                                 return label->seq < order;
+                               });
+    size_t position = static_cast<size_t>(at - labels.begin());
+    merged.insert(merged.end(), labels.begin() + static_cast<long>(kept), at);
+    kept = position;
+    if (position < labels.size() && labels[position]->seq == static_cast<uint32_t>(node->order)) {
+      result.mapped_labels -= labels[position]->mapped ? 1 : 0;
+      ++kept;
+    }
+    if (PathLabel* label = node->label[0]) {
+      label->seq = static_cast<uint32_t>(node->order);
+      result.mapped_labels += label->mapped ? 1 : 0;
+      merged.push_back(label);
+    }
+  }
+  merged.insert(merged.end(), labels.begin() + static_cast<long>(kept), labels.end());
+  labels = std::move(merged);
+  result.label_count = labels.size();
+
+  // Aggregates: take each touched node's old share out and put its new one in.
+  index.counted.resize(graph_->node_count(), 0);
+  std::vector<Node*> newly_unreachable;  // node order
+  bool unreachable_left = false;
+  for (Node* node : touched) {
+    uint8_t& counted = index.counted[node->order];
+    uint8_t feeds = FeedsOf(node);
+    if (feeds == counted) {
+      continue;
+    }
+    Tally(result, counted, /*remove=*/true);
+    Tally(result, feeds, /*remove=*/false);
+    if ((feeds & kFeedsUnreachable) != 0 && (counted & kFeedsUnreachable) == 0) {
+      newly_unreachable.push_back(node);
+    }
+    unreachable_left |= (counted & kFeedsUnreachable) != 0 && (feeds & kFeedsUnreachable) == 0;
+    counted = feeds;
+  }
+  if (unreachable_left) {
+    std::erase_if(result.unreachable, [&](const Node* node) {
+      return (index.counted[node->order] & kFeedsUnreachable) == 0;
+    });
+  }
+  if (!newly_unreachable.empty()) {
+    std::vector<Node*> unreachable;
+    unreachable.reserve(result.unreachable.size() + newly_unreachable.size());
+    std::merge(result.unreachable.begin(), result.unreachable.end(), newly_unreachable.begin(),
+               newly_unreachable.end(), std::back_inserter(unreachable), by_order);
+    result.unreachable = std::move(unreachable);
+  }
 }
 
 }  // namespace pathalias

@@ -68,8 +68,11 @@ struct PathLabel {
   Cost cost = kUnreached;
   int32_t hops = 0;
   int32_t heap_index = 0;  // 0 == not in the heap
-  uint8_t taint = 0;        // 1 if the path passed through a domain
   uint32_t penalties = 0;   // PenaltyBit mask accumulated along the path
+  // The label's sort key in Result::labels, which is kept in ascending seq order:
+  // creation order after Run(), node order (node->order) after Patch().
+  uint32_t seq = 0;
+  uint8_t taint = 0;        // 1 if the path passed through a domain
   bool mapped = false;
   bool best = false;  // provides its node's reported cost/route
   bool has_left = false;
@@ -130,10 +133,22 @@ class Mapper {
     // fallback, where the current table (~1.27v slots) cannot hold 2v+2 labels.
     bool heap_storage_from_donation = false;
     std::vector<Node*> unreachable;      // deterministic (declaration order)
-    std::vector<PathLabel*> labels;      // every label created (printer input)
+    // Every live label (printer input): in creation order after Run(), in node order
+    // after Patch().  Either way ascending in PathLabel::seq.
+    std::vector<PathLabel*> labels;
     // Resolves node NameIds for consumers that only hold the Result (route printer);
     // points at the graph's interner and shares its lifetime.
     const NameInterner* names = nullptr;
+
+    // What Patch keeps between calls so that the next one needs no whole-graph
+    // pass.  Run() leaves it empty; the first Patch() after it builds it with one
+    // pass, and every later Patch() updates it for the nodes it touched.  While it
+    // is set, `labels` is in node order.
+    struct PatchIndex {
+      std::vector<PathLabel*> back_linked;  // labels a back-link pass settled, node order
+      std::vector<uint8_t> counted;         // per node order: the aggregates it feeds
+    };
+    std::optional<PatchIndex> patch_index;
   };
 
   Mapper(Graph* graph, MapOptions options);
@@ -154,6 +169,12 @@ class Mapper {
   // cannot be applied exactly (`why`, when non-null, says which gate refused); the
   // caller must then fall back to a full Run() (on a fresh graph: a failed patch
   // leaves mapping state partially reset).
+  //
+  // Cost: the first Patch after a Run makes one pass over the graph (it indexes the
+  // in-links, puts result.labels in node order and fills result.patch_index).  After
+  // that a patch does work in proportion to the region it recomputes: seeding
+  // starts from the dirty nodes' in-links, old subtrees are walked over out-links,
+  // and the label list and aggregates are updated for the touched nodes only.
   //
   // The patch mirrors Run's two phases.  Phase 1 patches the first drain: it
   // recomputes the dirty region over declared links only, so invented links and the
@@ -227,8 +248,14 @@ class Mapper {
   // mapping state (ancestor routes are baked into descendant route strings).
   void DirtySubtree(Node* node, PatchState& state);
   // Recomputes the label-derived aggregates (mapped/unreachable/penalty counts) by
-  // scanning the graph — shared by Run's final accounting and Patch's rebuild.
-  void CollectFinalStats(Result& result) const;
+  // scanning the graph — Run's final accounting, and the first Patch's.  Each node's
+  // share goes to *counted (by node order) when it is non-null.
+  void CollectFinalStats(Result& result, std::vector<uint8_t>* counted = nullptr) const;
+  // Patch's closing bookkeeping: brings labels, label_count, mapped_labels, the
+  // aggregates and result.patch_index up to date after the nodes in `touched` (every
+  // node whose label or declarations may have changed) were remapped.
+  void UpdatePatchIndex(Result& result, std::vector<Node*>& touched, size_t old_label_count,
+                        std::vector<PathLabel*> back_linked) const;
   size_t InventBackLinks(Result& result);
 
   Graph* graph_;

@@ -1,5 +1,7 @@
 #include "src/graph/graph.h"
 
+#include <algorithm>
+
 namespace pathalias {
 
 Graph::Graph(Diagnostics* diag) : Graph(diag, Options()) {}
@@ -37,6 +39,9 @@ Node* Graph::CreateNode(NameId id, bool is_private) {
     node->private_file = current_file_;
   }
   nodes_.push_back(node);
+  if (tracking_in_links_) {
+    in_links_.emplace_back();
+  }
 
   if (id >= by_name_.size()) {
     by_name_.resize(names_.size(), nullptr);
@@ -141,7 +146,48 @@ Link* Graph::AddLink(Node* from, Node* to, Cost cost, char op, bool right_syntax
   }
   from->links_tail = link;
   ++link_count_;
+  NoteLinkAdded(from, to);
   return link;
+}
+
+void Graph::TrackInLinks() {
+  if (tracking_in_links_) {
+    return;
+  }
+  std::vector<uint32_t> in_degree(nodes_.size(), 0);
+  for (const Node* node : nodes_) {
+    for (const Link* link = node->links; link != nullptr; link = link->next) {
+      ++in_degree[link->to->order];
+    }
+  }
+  in_links_.resize(nodes_.size());
+  for (size_t order = 0; order < nodes_.size(); ++order) {
+    in_links_[order].reserve(in_degree[order]);
+  }
+  for (Node* node : nodes_) {
+    for (const Link* link = node->links; link != nullptr; link = link->next) {
+      in_links_[link->to->order].push_back(node);
+    }
+  }
+  tracking_in_links_ = true;
+}
+
+void Graph::NoteLinkAdded(Node* from, const Node* to) {
+  if (tracking_in_links_) {
+    in_links_[to->order].push_back(from);
+  }
+}
+
+void Graph::NoteLinkRemoved(Node* from, const Node* to) {
+  if (!tracking_in_links_) {
+    return;
+  }
+  std::vector<Node*>& sources = in_links_[to->order];
+  auto it = std::find(sources.begin(), sources.end(), from);
+  if (it != sources.end()) {
+    *it = sources.back();
+    sources.pop_back();
+  }
 }
 
 Link* Graph::FindLink(Node* from, Node* to) const {
@@ -195,6 +241,7 @@ bool Graph::RemoveLink(Node* from, Node* to) {
     if (link->invented()) {
       --invented_link_count_;
     }
+    NoteLinkRemoved(from, to);
     return true;  // at most one non-alias link per (from, to): AddLink deduplicates
   }
   return false;
@@ -226,6 +273,7 @@ bool Graph::RemoveAlias(Node* a, Node* b) {
         from->links_tail = previous;
       }
       --link_count_;
+      NoteLinkRemoved(from, to);
       removed = true;
       break;  // AddAlias deduplicates: at most one alias edge per direction
     }
@@ -247,6 +295,7 @@ void Graph::RetireNode(Node* node) {
     if (link->invented()) {
       --invented_link_count_;
     }
+    NoteLinkRemoved(node, link->to);
   }
   link_count_ -= dropped;
   node->links = nullptr;
@@ -286,6 +335,7 @@ void Graph::AddAlias(Node* a, Node* b, SourcePos pos) {
     }
     from->links_tail = link;
     ++link_count_;
+    NoteLinkAdded(from, to);
   }
 }
 

@@ -120,6 +120,19 @@ class Graph {
     return head != nullptr && (head->shadow != nullptr || head->is_private());
   }
 
+  // In-link index: off until the first TrackInLinks() call, which indexes every link
+  // by its target in one pass over the adjacency lists; from then on every link the
+  // graph adds or removes keeps it current.  Mapper::Patch turns it on so it can
+  // seed from the links into its dirty region without scanning every node.
+  void TrackInLinks();
+  // The source of each link into `node`, one entry per link, in no fixed order.
+  // Empty unless TrackInLinks() was called.
+  std::span<Node* const> InLinkSources(const Node* node) const {
+    return static_cast<size_t>(node->order) < in_links_.size()
+               ? std::span<Node* const>(in_links_[node->order])
+               : std::span<Node* const>();
+  }
+
   // NAME = op{members}(cost): placeholder node, member→net at `cost`, net→member at 0.
   Node* DeclareNet(Node* net, const std::vector<Node*>& members, Cost cost, char op,
                    bool right_syntax, SourcePos pos);
@@ -167,6 +180,9 @@ class Graph {
   Node* ChainHead(NameId id) const {
     return id < by_name_.size() ? by_name_[id] : nullptr;
   }
+  // In-link index upkeep (no-ops until TrackInLinks()).
+  void NoteLinkAdded(Node* from, const Node* to);
+  void NoteLinkRemoved(Node* from, const Node* to);
 
   Diagnostics* diag_;
   Options options_;
@@ -174,6 +190,9 @@ class Graph {
   NameInterner names_;
   std::vector<Node*> by_name_;  // NameId -> shadow-chain head (private first)
   std::vector<Node*> nodes_;
+  // By target node order: the source of every link into it (see TrackInLinks).
+  std::vector<std::vector<Node*>> in_links_;
+  bool tracking_in_links_ = false;
   std::vector<std::string> files_;
   size_t link_count_ = 0;
   size_t invented_link_count_ = 0;

@@ -39,7 +39,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string_view>
 
 #include "src/graph/cost.h"
 #include "src/support/interner.h"
@@ -97,17 +96,6 @@ struct FrozenRoute {
   int64_t cost;           // Cost; -1 when the source had no cost column
 };
 static_assert(sizeof(FrozenRoute) == 24);
-
-// FNV-1a, 64-bit: small, dependency-free, and fast enough that verifying a full image
-// is still far cheaper than re-parsing the text it replaced.
-inline uint64_t Fnv1a(std::string_view bytes, uint64_t seed = 0xcbf29ce484222325ull) {
-  uint64_t hash = seed;
-  for (unsigned char c : bytes) {
-    hash ^= c;
-    hash *= 0x00000100000001b3ull;
-  }
-  return hash;
-}
 
 inline constexpr size_t AlignUp8(size_t value) { return (value + 7) & ~size_t{7}; }
 

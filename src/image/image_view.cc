@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "src/support/fnv1a.h"
+
 namespace pathalias {
 namespace image {
 namespace {
@@ -158,9 +160,9 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
     // The stored checksum was computed with its own field zeroed; reproduce that.
     ImageHeader zeroed = header;
     zeroed.checksum = 0;
-    uint64_t actual = Fnv1a(
+    uint64_t actual = support::Fnv1a(
         std::string_view(reinterpret_cast<const char*>(&zeroed), sizeof(zeroed)));
-    actual = Fnv1a(buffer.substr(sizeof(ImageHeader)), actual);
+    actual = support::Fnv1a(buffer.substr(sizeof(ImageHeader)), actual);
     if (actual != header.checksum) {
       Fail(error, "checksum mismatch (corrupted image)");
       return std::nullopt;

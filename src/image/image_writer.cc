@@ -7,6 +7,7 @@
 
 #include "src/image/image_format.h"
 #include "src/support/durable_file.h"
+#include "src/support/fnv1a.h"
 #include "src/support/primes.h"
 
 namespace pathalias {
@@ -144,7 +145,7 @@ std::string ImageWriter::Freeze(const RouteSet& routes, uint64_t generation) {
   // so a flipped header bit (flags, counts, offsets) is as detectable as payload rot.
   header.checksum = 0;
   std::memcpy(out.data(), &header, sizeof(header));
-  header.checksum = Fnv1a(out);
+  header.checksum = support::Fnv1a(out);
   std::memcpy(out.data(), &header, sizeof(header));
   return out;
 }

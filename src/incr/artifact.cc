@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "src/parser/parse_recorder.h"
+#include "src/support/fnv1a.h"
 
 namespace pathalias {
 namespace incr {
@@ -139,18 +140,10 @@ void FileArtifact::ReportStoredErrors(Diagnostics* diag) const {
   }
 }
 
-uint64_t DigestBytes(std::string_view bytes) {
-  uint64_t hash = 0xcbf29ce484222325ull;
-  for (unsigned char byte : bytes) {
-    hash = (hash ^ byte) * 0x00000100000001B3ull;
-  }
-  return hash;
-}
-
 FileArtifact ParseFileToArtifact(const InputFile& file, Diagnostics* diag) {
   FileArtifact artifact;
   artifact.file_name = file.name;
-  artifact.digest = DigestBytes(file.content);
+  artifact.digest = support::Fnv1a(file.content);
   ArtifactRecorder recorder(&artifact);
   // The scratch graph exists only to satisfy the parser; declarations land in the
   // recorder.  Errors (with their positions) are forwarded to the caller; warnings
@@ -299,6 +292,9 @@ std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes) {
   if (!reader.U32(&artifact.first_host) || !reader.U32(&plain) || !reader.U32(&symbol_count)) {
     return std::nullopt;
   }
+  if (plain > 1) {
+    return std::nullopt;
+  }
   artifact.plain_links = plain != 0;
   // Counts come from the file: bound every one by the bytes that could possibly
   // back it BEFORE allocating, so a corrupt payload is a nullopt, not a bad_alloc.
@@ -339,7 +335,7 @@ std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes) {
         !reader.U32(&op.member_offset) || !reader.U32(&op.member_count) || !reader.I64(&cost)) {
       return std::nullopt;
     }
-    if ((packed & 0xff) > static_cast<uint32_t>(OpKind::kGatewayLink)) {
+    if ((packed & 0xff) > static_cast<uint32_t>(OpKind::kGatewayLink) || (packed >> 24) != 0) {
       return std::nullopt;
     }
     op.kind = static_cast<OpKind>(packed & 0xff);
@@ -377,6 +373,9 @@ std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes) {
     error.message.assign(reader.cursor, size);
     reader.cursor += size;
     artifact.errors.push_back(std::move(error));
+  }
+  if (reader.cursor != reader.end) {
+    return std::nullopt;  // trailing bytes
   }
   return artifact;
 }

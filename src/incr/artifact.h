@@ -33,9 +33,6 @@ namespace incr {
 
 inline constexpr uint32_t kNoSymbol = 0xffffffffu;
 
-// FNV-1a over the raw file bytes: the digest that decides "unchanged, skip reparse".
-uint64_t DigestBytes(std::string_view bytes);
-
 enum class OpKind : uint8_t {
   kIntern = 0,      // a: find-or-create the visible node (mirrors Graph::Intern)
   kHostDecl = 1,    // a: opened a host declaration (default-local bookkeeping)
@@ -71,7 +68,7 @@ struct FileArtifact {
   // pathalint: allow(R1): replay-artifact identity — the input file path as
   // serialized to the state dir; diagnostics and staleness checks, not routing.
   std::string file_name;
-  uint64_t digest = 0;
+  uint64_t digest = 0;  // support::Fnv1a of the input file's bytes
   // pathalint: allow(R1): the artifact's own symbol table — serialized bytes as
   // written in the source file; replay re-interns them into whatever interner
   // the rebuilt graph owns, so the artifact must carry the raw spelling.
@@ -91,6 +88,12 @@ struct FileArtifact {
   // Bitmask of the OpKinds present in `ops` (bit = 1u << kind).  Derived — computed
   // at record time and recomputed after deserialization, never serialized.
   uint32_t kind_mask = 0;
+  // support::Fnv1a(SerializeArtifact(*this)) when known: the content address of this
+  // artifact's state-directory payload (src/incr/state_dir.h).  Derived, never
+  // serialized.  LoadStateDir fills it from the payload name it matched, a save fills
+  // it for every payload it wrote or found, and an artifact rebuilt from input starts
+  // without one.  A save trusts it only next to an existing payload of that name.
+  std::optional<uint64_t> payload_digest;
 
   bool HasOp(OpKind kind) const { return (kind_mask & (1u << static_cast<uint8_t>(kind))) != 0; }
 
@@ -114,7 +117,10 @@ FileArtifact ParseFileToArtifact(const InputFile& file, Diagnostics* diag);
 void ReplayArtifact(const FileArtifact& artifact, Graph* graph);
 
 // Binary (de)serialization for the state directory.  The format is versioned and
-// self-contained; Load returns nullopt on any structural mismatch.
+// self-contained; Deserialize returns nullopt on any structural mismatch, and it
+// accepts only canonical bytes: whatever it accepts, SerializeArtifact gives back
+// byte for byte (a state directory's payload names rely on it; see
+// docs/INVARIANTS.md#i8).
 std::string SerializeArtifact(const FileArtifact& artifact);
 std::optional<FileArtifact> DeserializeArtifact(std::string_view bytes);
 

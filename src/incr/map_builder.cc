@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/core/route_printer.h"
+#include "src/support/fnv1a.h"
 
 namespace pathalias {
 namespace incr {
@@ -52,7 +53,7 @@ bool MapBuilder::BuildReusing(const std::vector<InputFile>& files,
   merged.reserve(files.size());
   for (const InputFile& file : files) {
     auto it = prior_index.find(file.name);
-    if (it != prior_index.end() && prior[it->second].digest == DigestBytes(file.content)) {
+    if (it != prior_index.end() && prior[it->second].digest == support::Fnv1a(file.content)) {
       merged.push_back(std::move(prior[it->second]));
       ++reused;
     } else {
@@ -80,6 +81,14 @@ bool MapBuilder::BuildFromArtifacts(std::vector<FileArtifact> artifacts) {
   }
   valid_ = FullRebuild();
   return valid_;
+}
+
+bool MapBuilder::SaveState(const std::string& dir, uint64_t image_generation) {
+  StateDirHeader header;
+  header.local = options_.local;
+  header.ignore_case = options_.ignore_case;
+  header.image_generation = image_generation;
+  return SaveStateDir(dir, header, artifacts_);
 }
 
 std::string MapBuilder::ComputeLocalName() const {
@@ -185,7 +194,7 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
   for (const InputFile& file : changed) {
     auto it = index_by_name.find(file.name);
     if (it != index_by_name.end() &&
-        artifacts_[it->second].digest == DigestBytes(file.content)) {
+        artifacts_[it->second].digest == support::Fnv1a(file.content)) {
       ++stats.files_unchanged;
       continue;
     }

@@ -54,6 +54,7 @@
 #include "src/core/mapper.h"
 #include "src/graph/graph.h"
 #include "src/incr/artifact.h"
+#include "src/incr/state_dir.h"
 #include "src/route_db/route_db.h"
 #include "src/support/diag.h"
 
@@ -112,6 +113,13 @@ class MapBuilder {
   // else is reused from the retained artifacts.
   UpdateStats Update(const std::vector<InputFile>& changed,
                      const std::vector<std::string>& removed = {});
+
+  // Saves the retained artifacts as a state directory (src/incr/state_dir.h) under
+  // `dir`, stamped with options().local, options().ignore_case and
+  // `image_generation`.  No copy is taken, and only artifacts whose payload is not
+  // already on disk are serialized and digested: after a one-file Update that is
+  // the changed file.  False on any I/O failure.
+  bool SaveState(const std::string& dir, uint64_t image_generation);
 
   bool valid() const { return valid_; }
   const RouteSet& routes() const { return routes_; }

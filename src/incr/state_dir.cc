@@ -1,15 +1,16 @@
 #include "src/incr/state_dir.h"
 
-#include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
 
 #include "src/support/durable_file.h"
 #include "src/support/failpoint.h"
+#include "src/support/fnv1a.h"
+#include "src/support/read_file.h"
 
 namespace pathalias {
 namespace incr {
@@ -31,6 +32,19 @@ std::string ArtifactFileName(size_t index, uint64_t bytes_digest) {
   return name;
 }
 
+// The digest ArtifactFileName(index, digest) put in `name`, if that is what made it.
+std::optional<uint64_t> DigestFromFileName(size_t index, const std::string& name) {
+  size_t dash = name.rfind('-');
+  if (dash == std::string::npos) {
+    return std::nullopt;
+  }
+  uint64_t digest = std::strtoull(name.c_str() + dash + 1, nullptr, 16);
+  if (ArtifactFileName(index, digest) != name) {
+    return std::nullopt;
+  }
+  return digest;
+}
+
 // Durable temp + fsync + rename + parent-dir fsync: a crash mid-save leaves the
 // previous version intact, and a completed save survives power loss.
 bool WriteFileAtomically(const fs::path& path, std::string_view bytes) {
@@ -38,29 +52,32 @@ bool WriteFileAtomically(const fs::path& path, std::string_view bytes) {
   return support::PublishFileDurably(path.string(), bytes, "state.publish", &error);
 }
 
-std::optional<std::string> ReadWholeFile(const fs::path& path) {
+std::optional<std::string> ReadStateFile(const fs::path& path) {
   if (support::failpoint::Inject("state.read")) {
     return std::nullopt;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return std::nullopt;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) {
-    return std::nullopt;
-  }
-  return std::move(buffer).str();
+  return support::ReadWholeFile(path.string());
 }
 
-}  // namespace
-
-bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
+// The save both public forms share.  `payload_digests` receives each artifact's
+// payload digest, in artifact order.
+bool Save(const std::string& dir, const StateDirHeader& header,
+          std::span<const FileArtifact> artifacts, std::vector<uint64_t>* payload_digests) {
+  const fs::path payload_dir = fs::path(dir) / "artifacts";
   std::error_code ec;
-  fs::create_directories(fs::path(dir) / "artifacts", ec);
+  fs::create_directories(payload_dir, ec);
   if (ec) {
     return false;
+  }
+  // One listing answers "is this payload already on disk?" for every artifact, and
+  // later names the payloads to prune.  Listing fresh on every save is what keeps a
+  // remembered digest from vouching for a file someone deleted.
+  std::unordered_set<std::string> on_disk;
+  for (const fs::directory_entry& entry : fs::directory_iterator(payload_dir, ec)) {
+    std::string name = entry.path().filename().string();
+    if (name.ends_with(".pai")) {
+      on_disk.insert(std::move(name));
+    }
   }
   // Payloads are content-addressed and written via temp+rename, so a save torn at
   // ANY point leaves the previous manifest's payload set intact and readable; the
@@ -68,20 +85,26 @@ bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
   std::unordered_set<std::string> referenced;
   std::string manifest;
   manifest += "pathalias-state " + std::to_string(kManifestVersion) + "\n";
-  manifest += "local\t" + contents.local + "\n";
-  manifest += "ignore_case\t" + std::string(contents.ignore_case ? "1" : "0") + "\n";
-  manifest += "generation\t" + std::to_string(contents.image_generation) + "\n";
-  manifest += "files\t" + std::to_string(contents.artifacts.size()) + "\n";
-  for (size_t i = 0; i < contents.artifacts.size(); ++i) {
-    const FileArtifact& artifact = contents.artifacts[i];
-    std::string bytes = SerializeArtifact(artifact);
-    std::string file_name = ArtifactFileName(i, DigestBytes(bytes));
-    fs::path payload_path = fs::path(dir) / "artifacts" / file_name;
-    // Content-addressed: an existing file already holds exactly these bytes, so a
-    // 1-file update writes one payload, not the whole map's worth.
-    if (!fs::exists(payload_path, ec) && !WriteFileAtomically(payload_path, bytes)) {
-      return false;
+  manifest += "local\t" + header.local + "\n";
+  manifest += "ignore_case\t" + std::string(header.ignore_case ? "1" : "0") + "\n";
+  manifest += "generation\t" + std::to_string(header.image_generation) + "\n";
+  manifest += "files\t" + std::to_string(artifacts.size()) + "\n";
+  payload_digests->clear();
+  payload_digests->reserve(artifacts.size());
+  for (size_t i = 0; i < artifacts.size(); ++i) {
+    const FileArtifact& artifact = artifacts[i];
+    std::optional<uint64_t> digest = artifact.payload_digest;
+    std::string file_name = digest.has_value() ? ArtifactFileName(i, *digest) : std::string();
+    if (!digest.has_value() || !on_disk.contains(file_name)) {
+      std::string bytes = SerializeArtifact(artifact);
+      digest = support::Fnv1a(bytes);
+      file_name = ArtifactFileName(i, *digest);
+      if (!on_disk.contains(file_name) &&
+          !WriteFileAtomically(payload_dir / file_name, bytes)) {
+        return false;
+      }
     }
+    payload_digests->push_back(*digest);
     manifest += std::to_string(artifact.digest) + "\t" + file_name + "\t" +
                 artifact.file_name + "\n";
     referenced.insert(std::move(file_name));
@@ -91,12 +114,29 @@ bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
   }
   // Now that the new manifest is committed, drop payloads nothing references.
   // Best-effort: a leftover file is dead weight, never a correctness problem.
-  for (const fs::directory_entry& entry :
-       fs::directory_iterator(fs::path(dir) / "artifacts", ec)) {
-    std::string name = entry.path().filename().string();
-    if (name.ends_with(".pai") && !referenced.contains(name)) {
-      fs::remove(entry.path(), ec);
+  for (const std::string& name : on_disk) {
+    if (!referenced.contains(name)) {
+      fs::remove(payload_dir / name, ec);
     }
+  }
+  return true;
+}
+
+}  // namespace
+
+bool SaveStateDir(const std::string& dir, const StateDirContents& contents) {
+  std::vector<uint64_t> payload_digests;
+  return Save(dir, contents, contents.artifacts, &payload_digests);
+}
+
+bool SaveStateDir(const std::string& dir, const StateDirHeader& header,
+                  std::span<FileArtifact> artifacts) {
+  std::vector<uint64_t> payload_digests;
+  if (!Save(dir, header, artifacts, &payload_digests)) {
+    return false;
+  }
+  for (size_t i = 0; i < artifacts.size(); ++i) {
+    artifacts[i].payload_digest = payload_digests[i];
   }
   return true;
 }
@@ -108,7 +148,7 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     }
     return std::nullopt;
   };
-  std::optional<std::string> manifest = ReadWholeFile(fs::path(dir) / "manifest");
+  std::optional<std::string> manifest = ReadStateFile(fs::path(dir) / "manifest");
   if (!manifest.has_value()) {
     return fail("cannot read manifest");
   }
@@ -180,7 +220,7 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     }
     std::string artifact_file = line.substr(tab1 + 1, tab2 - tab1 - 1);
     std::string input_name = line.substr(tab2 + 1);
-    std::optional<std::string> bytes = ReadWholeFile(fs::path(dir) / "artifacts" / artifact_file);
+    std::optional<std::string> bytes = ReadStateFile(fs::path(dir) / "artifacts" / artifact_file);
     if (!bytes.has_value()) {
       return fail("cannot read artifact " + artifact_file);
     }
@@ -189,6 +229,7 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
         artifact->file_name != input_name) {
       return fail("artifact " + artifact_file + " does not match its manifest entry");
     }
+    artifact->payload_digest = DigestFromFileName(i, artifact_file);
     contents.artifacts.push_back(std::move(*artifact));
   }
   return contents;

@@ -1,13 +1,13 @@
 #include "src/net/rollover.h"
 
-#include <fstream>
-#include <sstream>
+#include <optional>
 #include <utility>
 
 #include "src/image/image_writer.h"
 #include "src/incr/state_dir.h"
 #include "src/parser/parser.h"
 #include "src/support/failpoint.h"
+#include "src/support/read_file.h"
 
 namespace pathalias {
 namespace net {
@@ -106,14 +106,12 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
   std::vector<InputFile> files;
   files.reserve(options_.map_files.size());
   for (const std::string& path : options_.map_files) {
-    std::ifstream in(path);
-    if (!in) {
+    std::optional<std::string> content = support::ReadWholeFile(path);
+    if (!content.has_value()) {
       *detail = "cannot open map file " + path;
       return ReloadOutcome::kError;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    files.push_back({path, std::move(buffer).str()});
+    files.push_back({path, std::move(*content)});
   }
   incr::UpdateStats stats = builder_->Update(files);
   if (!builder_->valid()) {
@@ -151,12 +149,7 @@ ReloadOutcome RolloverController::ReloadFromSources(std::string* detail) {
     *detail = "cannot rewrite " + options_.image_path + ": " + error;
     return ReloadOutcome::kError;
   }
-  incr::StateDirContents contents;
-  contents.local = builder_->options().local;
-  contents.ignore_case = builder_->options().ignore_case;
-  contents.image_generation = next_generation;
-  contents.artifacts = builder_->artifacts();
-  if (!incr::SaveStateDir(options_.image_path + ".state", contents)) {
+  if (!builder_->SaveState(options_.image_path + ".state", next_generation)) {
     // The image is already rewritten and sound; a stale state dir only costs the
     // next update a rebuild.  Swap anyway, but say so.
     *detail = "warning: cannot save " + options_.image_path + ".state; ";

@@ -11,10 +11,13 @@
 //   runs the routedb-update flow in process: MapBuilder::Update (digest check
 //   skips unchanged files; patch or replay as the edit allows), then
 //   ImageWriter::Refreeze (temp + rename, so concurrent opens never see a torn
-//   image), SaveStateDir, reopen the fresh image, and
+//   image), MapBuilder::SaveState, reopen the fresh image, and
 //   engine->AdoptRoutes(fresh, builder.dirty_route_ids()).  The builder stays
 //   resident, so repeated HUPs get the patch path's full advantage (no state-dir
-//   reload, no replay of the previous state).
+//   reload, no replay of the previous state).  The save copies no artifact, and it
+//   serializes and digests only the ones whose payload is not already on disk —
+//   after a one-file edit, that file's — then writes that payload and the manifest
+//   (src/incr/state_dir.h).
 //
 //   CheckImage() — the changed-file-notification path.  Detects that some OTHER
 //   process replaced the image on disk (routedb update's rename), reopens it, and

@@ -7,14 +7,16 @@
 // reported by the parser itself; this tool adds the semantic lints (name collisions,
 // one-way links, unenterable networks, ...) described in src/graph/audit.h.
 
-#include <fstream>
+#include <unistd.h>
+
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/graph/audit.h"
 #include "src/parser/parser.h"
+#include "src/support/read_file.h"
 
 int main(int argc, char** argv) {
   bool quiet = false;
@@ -44,19 +46,15 @@ int main(int argc, char** argv) {
   pathalias::Graph graph(&diag);
   pathalias::Parser parser(&graph);
   for (const std::string& name : names) {
-    std::ostringstream buffer;
-    if (name == "-") {
-      buffer << std::cin.rdbuf();
-      parser.ParseFile(pathalias::InputFile{"<stdin>", buffer.str()});
-      continue;
-    }
-    std::ifstream in(name);
-    if (!in) {
+    bool is_stdin = name == "-";
+    std::optional<std::string> content =
+        is_stdin ? pathalias::support::ReadWholeFd(STDIN_FILENO)
+                 : pathalias::support::ReadWholeFile(name);
+    if (!content.has_value()) {
       std::cerr << "mapcheck: cannot open " << name << "\n";
       return 2;
     }
-    buffer << in.rdbuf();
-    parser.ParseFile(pathalias::InputFile{name, buffer.str()});
+    parser.ParseFile(pathalias::InputFile{is_stdin ? "<stdin>" : name, std::move(*content)});
   }
 
   pathalias::AuditReport report = pathalias::AuditGraph(graph);

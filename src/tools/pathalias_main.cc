@@ -23,9 +23,11 @@
 //                 the retained state does not parameterize).
 //   files         map files; "-" or none reads standard input
 
+#include <unistd.h>
+
 #include <fstream>
 #include <iostream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,6 +36,7 @@
 #include "src/incr/map_builder.h"
 #include "src/incr/state_dir.h"
 #include "src/support/failpoint.h"
+#include "src/support/read_file.h"
 
 namespace {
 
@@ -41,12 +44,6 @@ void Usage() {
   std::cerr << "usage: pathalias [-c] [-f] [-i] [-v] [-l localname] [-d deadarg] [-t tracearg]\n"
                "                 [-o outfile] [--two-label] [--strict-syntax] [--no-back-links]\n"
                "                 [--incremental statedir] [files...]\n";
-}
-
-std::string ReadStream(std::istream& in) {
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 }  // namespace
@@ -111,16 +108,15 @@ int main(int argc, char** argv) {
     file_names.push_back("-");
   }
   for (const std::string& name : file_names) {
-    if (name == "-") {
-      files.push_back({"<stdin>", ReadStream(std::cin)});
-      continue;
-    }
-    std::ifstream in(name);
-    if (!in) {
+    bool is_stdin = name == "-";
+    std::optional<std::string> content =
+        is_stdin ? pathalias::support::ReadWholeFd(STDIN_FILENO)
+                 : pathalias::support::ReadWholeFile(name);
+    if (!content.has_value()) {
       std::cerr << "pathalias: cannot open " << name << "\n";
       return 1;
     }
-    files.push_back({name, ReadStream(in)});
+    files.push_back({is_stdin ? "<stdin>" : name, std::move(*content)});
   }
 
   if (!incremental_dir.empty()) {
@@ -153,11 +149,7 @@ int main(int argc, char** argv) {
     size_t reparsed = 0;
     size_t reused = 0;
     bool built = builder.BuildReusing(files, std::move(prior), &reparsed, &reused);
-    pathalias::incr::StateDirContents contents;
-    contents.local = builder_options.local;
-    contents.ignore_case = builder_options.ignore_case;
-    contents.artifacts = builder.artifacts();
-    if (!pathalias::incr::SaveStateDir(incremental_dir, contents)) {
+    if (!builder.SaveState(incremental_dir, /*image_generation=*/0)) {
       std::cerr << "pathalias: cannot save state to " << incremental_dir << "\n";
       return 1;
     }

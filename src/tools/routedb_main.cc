@@ -61,7 +61,6 @@
 #include <iostream>
 #include <optional>
 #include <span>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -76,6 +75,7 @@
 #include "src/net/wire.h"
 #include "src/route_db/route_db.h"
 #include "src/support/failpoint.h"
+#include "src/support/read_file.h"
 
 namespace {
 
@@ -322,14 +322,12 @@ int RunUpdate(int argc, char** argv) {
 
   std::vector<pathalias::InputFile> files;
   for (size_t i = 1; i < positional.size(); ++i) {
-    std::ifstream in(positional[i]);
-    if (!in) {
+    std::optional<std::string> content = pathalias::support::ReadWholeFile(positional[i]);
+    if (!content.has_value()) {
       std::cerr << "routedb: cannot open " << positional[i] << "\n";
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    files.push_back({positional[i], std::move(buffer).str()});
+    files.push_back({positional[i], std::move(*content)});
   }
 
   pathalias::incr::MapBuilderOptions builder_options;
@@ -403,12 +401,7 @@ int RunUpdate(int argc, char** argv) {
                 << "\n";
       return 1;
     }
-    pathalias::incr::StateDirContents contents;
-    contents.local = builder.options().local;
-    contents.ignore_case = builder.options().ignore_case;
-    contents.image_generation = next_generation;
-    contents.artifacts = builder.artifacts();
-    if (!pathalias::incr::SaveStateDir(state_dir, contents)) {
+    if (!builder.SaveState(state_dir, next_generation)) {
       std::cerr << "routedb: cannot save " << state_dir << "\n";
       return 1;
     }
@@ -459,12 +452,7 @@ int RunUpdate(int argc, char** argv) {
     std::cerr << "routedb: cannot write " << image_path << ": " << publish_error << "\n";
     return 1;
   }
-  pathalias::incr::StateDirContents contents;
-  contents.local = builder_options.local;
-  contents.ignore_case = builder_options.ignore_case;
-  contents.image_generation = 1;
-  contents.artifacts = builder.artifacts();
-  if (!pathalias::incr::SaveStateDir(state_dir, contents)) {
+  if (!builder.SaveState(state_dir, /*image_generation=*/1)) {
     std::cerr << "routedb: cannot save " << state_dir << "\n";
     return 1;
   }
@@ -683,15 +671,13 @@ int main(int argc, char** argv) {
     if (argc != 4) {
       return Usage();
     }
-    std::ifstream in(argv[2]);
-    if (!in) {
+    std::optional<std::string> text = pathalias::support::ReadWholeFile(argv[2]);
+    if (!text.has_value()) {
       std::cerr << "routedb: cannot open " << argv[2] << "\n";
       return 1;
     }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
     pathalias::Diagnostics diag;
-    pathalias::RouteSet routes = pathalias::RouteSet::FromText(buffer.str(), &diag);
+    pathalias::RouteSet routes = pathalias::RouteSet::FromText(*text, &diag);
     if (!pathalias::image::ImageWriter::WriteFile(routes, argv[3])) {
       std::cerr << "routedb: cannot write " << argv[3] << "\n";
       return 1;

@@ -8,7 +8,10 @@
 //   3. the state generation never runs ahead of the image generation (image is
 //      published first, so a torn pair is detectable, not adoptable);
 //   4. the daemon NEVER exits its loop uncleanly — faults degrade service,
-//      they do not kill it.
+//      they do not kill it;
+//   5. a resident builder's incremental state saves (the SIGHUP path) leave a
+//      loadable directory after every fault, and the first fault-free save
+//      writes exactly the bytes a full save does.
 //
 // Every run is seeded deterministically (support::Rng), so a failure reproduces
 // byte-for-byte from the seed printed in the assertion message.
@@ -32,6 +35,7 @@
 #include "src/net/wire.h"
 #include "src/support/failpoint.h"
 #include "src/support/rng.h"
+#include "tests/incr/state_dir_oracle.h"
 
 namespace pathalias {
 namespace {
@@ -95,12 +99,7 @@ void InitImage(const std::vector<InputFile>& files, const std::string& image_pat
   ASSERT_TRUE(image::ImageWriter::Refreeze(builder.routes(), image_path,
                                            /*generation=*/1, &error))
       << error;
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.ignore_case = false;
-  contents.image_generation = 1;
-  contents.artifacts = builder.artifacts();
-  ASSERT_TRUE(incr::SaveStateDir(image_path + ".state", contents));
+  ASSERT_TRUE(builder.SaveState(image_path + ".state", /*image_generation=*/1));
 }
 
 // Reads the generation stamp straight from the header bytes — no mmap, no
@@ -185,12 +184,7 @@ bool TryUpdateCycle(const fs::path& /*dir*/, const std::string& image_path,
                                     &error)) {
     return false;  // publish aborted; the invariants say it must not have torn
   }
-  incr::StateDirContents contents;
-  contents.local = "hub";
-  contents.ignore_case = false;
-  contents.image_generation = next_generation;
-  contents.artifacts = builder.artifacts();
-  (void)incr::SaveStateDir(image_path + ".state", contents);  // may fail; image leads
+  (void)builder.SaveState(image_path + ".state", next_generation);  // may fail; image leads
   return true;
 }
 
@@ -391,6 +385,82 @@ TEST(RolloverChaos, ReloadFaultsDegradeButNeverKillOrCorrupt) {
         << "seed " << seed << ": daemon did not converge after faults cleared";
 
     ExpectDiskInvariants(image_path, seed);
+    fs::remove_all(dir);
+  }
+}
+
+TEST(StateSaveChaos, ResidentBuilderSavesStayLoadableAndConverge) {
+  const std::vector<std::string> kSites = {
+      "state.publish.open",  "state.publish.write",  "state.publish.fsync",
+      "state.publish.close", "state.publish.rename", "state.publish.dirsync",
+  };
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    FailpointGuard guard;
+    fs::path dir = MakeScratchDir("save", seed);
+    const fs::path state = dir / "routes.pari.state";
+    incr::MapBuilder builder(incr::MapBuilderOptions{.local = "hub"});
+    ASSERT_TRUE(builder.Build(MapVersion(dir, false, 0)));
+    ASSERT_TRUE(builder.SaveState(state.string(), 1));
+    incr::StateDirHeader header;
+    header.local = "hub";
+    bool payload_deleted = false;  // since the last save that succeeded
+
+    for (uint64_t generation = 2; generation <= 7; ++generation) {
+      builder.Update(MapVersion(dir, rng.Chance(0.5), rng.Next()));
+      if (rng.Chance(0.25)) {
+        // Behind the saver's back: a remembered digest must not vouch for it.
+        std::vector<fs::path> payloads;
+        for (const fs::directory_entry& entry : fs::directory_iterator(state / "artifacts")) {
+          payloads.push_back(entry.path());
+        }
+        if (!payloads.empty()) {
+          fs::remove(rng.Pick(payloads));
+          payload_deleted = true;
+        }
+      }
+      std::vector<bool> had_digest;
+      for (const incr::FileArtifact& artifact : builder.artifacts()) {
+        had_digest.push_back(artifact.payload_digest.has_value());
+      }
+      ArmRandomFaults(rng, kSites, 1 + rng.Below(2));
+      const bool saved = builder.SaveState(state.string(), generation);
+      failpoint::Reset();
+
+      std::string error;
+      auto loaded = incr::LoadStateDir(state.string(), &error);
+      if (saved) {
+        payload_deleted = false;
+        ASSERT_TRUE(loaded.has_value()) << "seed " << seed << ": " << error;
+        EXPECT_EQ(loaded->image_generation, generation) << "seed " << seed;
+        header.image_generation = generation;
+        EXPECT_EQ(incr::StateDirFiles(state),
+                  incr::FullSaveFiles(dir / "full", header, builder.artifacts()))
+            << "seed " << seed << " generation " << generation;
+        continue;
+      }
+      // A failed save records no digest it did not have, and leaves a directory
+      // that loads — unless a payload the old manifest names was deleted, which
+      // must then be a clean rebuild-needed error.
+      for (size_t i = 0; i < had_digest.size(); ++i) {
+        EXPECT_EQ(builder.artifacts()[i].payload_digest.has_value(), had_digest[i])
+            << "seed " << seed << " artifact " << i;
+      }
+      if (!payload_deleted) {
+        EXPECT_TRUE(loaded.has_value()) << "seed " << seed << ": " << error;
+      } else if (!loaded.has_value()) {
+        EXPECT_FALSE(error.empty()) << "seed " << seed;
+      }
+    }
+
+    ASSERT_TRUE(builder.SaveState(state.string(), 8)) << "seed " << seed;
+    header.image_generation = 8;
+    EXPECT_EQ(incr::StateDirFiles(state),
+              incr::FullSaveFiles(dir / "full", header, builder.artifacts()))
+        << "seed " << seed;
+    std::string error;
+    EXPECT_TRUE(incr::LoadStateDir(state.string(), &error).has_value())
+        << "seed " << seed << ": " << error;
     fs::remove_all(dir);
   }
 }

@@ -10,11 +10,14 @@
 // After EVERY edit the MapBuilder's route set must be byte-identical (canonical
 // name-sorted form) to a from-scratch pipeline over the edited inputs; periodically
 // the refrozen .pari image and the sharded batch engine (serial and --threads) are
-// held to the same standard.  Four path-coverage assertions keep the property
-// non-vacuous: the patch path, the fallback path, patched updates that applied
-// alias/dead/gateway/adjust edits (if those all silently fell back, the lifted
-// gates would be untested), and patched updates over a graph holding invented
-// back links.
+// held to the same standard.  After every edit the builder's incremental state
+// save must leave the files a full save of the same artifacts writes, and every
+// patched mapping must carry the aggregates a fresh Run computes (label list in
+// node order, label and host counts, penalty tallies, unreachable hosts).  Four
+// path-coverage assertions keep the property non-vacuous: the patch path, the
+// fallback path, patched updates that applied alias/dead/gateway/adjust edits (if
+// those all silently fell back, the lifted gates would be untested), and patched
+// updates over a graph holding invented back links.
 
 #include <gtest/gtest.h>
 
@@ -34,6 +37,7 @@
 #include "src/incr/map_builder.h"
 #include "src/route_db/route_db.h"
 #include "src/support/rng.h"
+#include "tests/incr/state_dir_oracle.h"
 
 namespace pathalias {
 namespace incr {
@@ -138,6 +142,65 @@ std::string FormatBatch(const FrozenRouteSet& source,
   return out;
 }
 
+std::vector<std::string> NamesOf(const Graph& graph, const std::vector<Node*>& nodes) {
+  std::vector<std::string> names;
+  for (const Node* node : nodes) {
+    names.emplace_back(graph.NameOf(node));
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+std::vector<std::string> LabeledNames(const Graph& graph) {
+  std::vector<Node*> labeled;
+  for (Node* node : graph.nodes()) {
+    if (node->label[0] != nullptr) {
+      labeled.push_back(node);
+    }
+  }
+  return NamesOf(graph, labeled);
+}
+
+// The patch keeps Result's aggregates by touching only the nodes it remapped;
+// a fresh Run over a replay of the same artifacts recomputes them from scratch.
+void ExpectAggregatesOfAFreshRun(const MapBuilder& builder, int step) {
+  Diagnostics diag;
+  Graph fresh(&diag);
+  for (const FileArtifact& artifact : builder.artifacts()) {
+    ReplayArtifact(artifact, &fresh);
+  }
+  fresh.SetLocal(builder.local_name());
+  MapOptions options;
+  options.reuse_hash_table_storage = false;
+  Mapper::Result run = Mapper(&fresh, options).Run();
+  const Mapper::Result& patched = builder.map();
+  const Graph& graph = *builder.graph();
+
+  // The label list is in node order, one entry per labeled node.
+  std::vector<PathLabel*> by_node;
+  for (Node* node : graph.nodes()) {
+    if (node->label[0] != nullptr) {
+      by_node.push_back(node->label[0]);
+    }
+  }
+  EXPECT_EQ(patched.labels, by_node) << "step " << step;
+  EXPECT_EQ(patched.label_count, run.label_count) << "step " << step;
+  EXPECT_EQ(patched.mapped_labels, run.mapped_labels) << "step " << step;
+  EXPECT_EQ(LabeledNames(graph), LabeledNames(fresh)) << "step " << step;
+  EXPECT_EQ(patched.mapped_hosts, run.mapped_hosts) << "step " << step;
+  EXPECT_EQ(patched.unreachable_hosts, run.unreachable_hosts) << "step " << step;
+  EXPECT_EQ(patched.mixed_syntax_routes, run.mixed_syntax_routes) << "step " << step;
+  EXPECT_EQ(patched.syntax_penalized_routes, run.syntax_penalized_routes) << "step " << step;
+  EXPECT_EQ(patched.penalized_routes, run.penalized_routes) << "step " << step;
+  EXPECT_EQ(patched.invented_links, run.invented_links) << "step " << step;
+  EXPECT_EQ(patched.back_link_passes, run.back_link_passes) << "step " << step;
+  EXPECT_EQ(NamesOf(graph, patched.unreachable), NamesOf(fresh, run.unreachable))
+      << "step " << step;
+  EXPECT_TRUE(std::is_sorted(patched.unreachable.begin(), patched.unreachable.end(),
+                             [](const Node* a, const Node* b) { return a->order < b->order; }))
+      << "step " << step;
+}
+
 class IncrementalFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
@@ -186,6 +249,9 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
       fs::temp_directory_path() /
       ("pathalias_incr_fuzz_" + std::to_string(::getpid()) + "_" +
        std::to_string(GetParam()) + ".pari");
+  const fs::path state_dir = image_path.string() + ".state";
+  const fs::path full_state_dir = image_path.string() + ".full-state";
+  fs::remove_all(state_dir);
 
   size_t patched_updates = 0;
   size_t rebuild_updates = 0;
@@ -521,6 +587,19 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
     ASSERT_EQ(builder.routes().ToSortedText(true), ReferenceSortedRoutes(rendered, local))
         << "step " << step << " seed " << GetParam()
         << (stats.patched ? " (patched: " : " (rebuilt: ") << stats.rebuild_reason << ")";
+    if (stats.patched && stats.dirty_nodes > 0) {
+      ExpectAggregatesOfAFreshRun(builder, step);
+    }
+
+    // The incremental save serializes only what changed; its directory must still
+    // be the one a full save writes.
+    const uint64_t generation = static_cast<uint64_t>(step) + 1;
+    ASSERT_TRUE(builder.SaveState(state_dir.string(), generation)) << "step " << step;
+    StateDirHeader header;
+    header.local = builder.options().local;
+    header.image_generation = generation;
+    ASSERT_EQ(StateDirFiles(state_dir), FullSaveFiles(full_state_dir, header, builder.artifacts()))
+        << "step " << step << " seed " << GetParam();
 
     if (step % 20 == 19) {
       // Images built three ways (fresh run, patched builder, refrozen file) and
@@ -586,6 +665,8 @@ TEST_P(IncrementalFuzz, EveryEditStaysGoldenAcrossBackends) {
   EXPECT_GT(patched_back_link_updates, 0u)
       << "no patched update ran over a graph holding invented back links";
   fs::remove(image_path);
+  fs::remove_all(state_dir);
+  fs::remove_all(full_state_dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, IncrementalFuzz,
