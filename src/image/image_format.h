@@ -31,23 +31,30 @@
 // Integrity: the header carries an endian marker (an image written on a little-endian
 // host reads back swapped on a big-endian one and is rejected), a structural validation
 // pass (section bounds, id ranges, pool termination — O(n) integer checks), and an
-// FNV-1a checksum over the payload for callers that want corruption detection before
-// trusting the bytes.
+// XXH64 checksum over the whole image (ImageChecksum) for callers that want corruption
+// detection before trusting the bytes.
+//
+// Version 2 changed the checksum from FNV-1a to XXH64; the layout is version 1's.  A
+// version-1 image is refused (rebuild it with `routedb freeze` or `routedb update
+// --init`): its checksum cannot be verified by this binary.
 
 #ifndef SRC_IMAGE_IMAGE_FORMAT_H_
 #define SRC_IMAGE_IMAGE_FORMAT_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <string_view>
 
 #include "src/graph/cost.h"
+#include "src/support/digest.h"
 #include "src/support/interner.h"
 
 namespace pathalias {
 namespace image {
 
 inline constexpr uint32_t kMagic = 0x49524150;         // "PARI" when read as LE bytes
-inline constexpr uint32_t kVersion = 1;
+inline constexpr uint32_t kVersion = 2;
 inline constexpr uint32_t kEndianMarker = 0x01020304;  // reads 0x04030201 when foreign
 
 // Header flags (mirror the interner options the image was frozen with).
@@ -60,7 +67,7 @@ struct ImageHeader {
   uint32_t endian;
   uint32_t flags;
   uint64_t file_size;  // total image size in bytes, header included
-  uint64_t checksum;   // FNV-1a 64 over the whole image with this field held at zero
+  uint64_t checksum;   // ImageChecksum of the whole image
 
   uint32_t name_count;   // interned names (routes + domain-suffix chains)
   uint32_t route_count;
@@ -77,9 +84,9 @@ struct ImageHeader {
 
   // Publish generation: incremented on every refreeze and mirrored into the
   // image's .state manifest, so a consumer can tell whether an image and a
-  // state dir were published together.  Images written before this field read
-  // back as generation 0 (the bytes were reserved and zeroed), which every
-  // consumer treats as "unstamped — trust the bytes, not the pairing".
+  // state dir were published together.  An image frozen without a generation
+  // (`routedb freeze`) carries 0, which every consumer treats as "unstamped —
+  // trust the bytes, not the pairing".
   uint64_t generation;
 
   uint8_t reserved[8];  // pads the header to 128 bytes; zeroed
@@ -98,6 +105,21 @@ struct FrozenRoute {
 static_assert(sizeof(FrozenRoute) == 24);
 
 inline constexpr size_t AlignUp8(size_t value) { return (value + 7) & ~size_t{7}; }
+
+// The checksum ImageHeader::checksum holds, over a whole image (header included, so a
+// flipped flag, count or offset is as detectable as payload rot):
+//     Digest(body, Digest(header with checksum = 0))
+// where body is every byte after the header.  The writer stamps it and ImageView
+// verifies it; both call this, so they cannot disagree.  Precondition:
+// image.size() >= sizeof(ImageHeader).
+inline uint64_t ImageChecksum(std::string_view image) {
+  ImageHeader header;
+  std::memcpy(&header, image.data(), sizeof(header));
+  header.checksum = 0;
+  const uint64_t header_digest =
+      support::Digest(std::string_view(reinterpret_cast<const char*>(&header), sizeof(header)));
+  return support::Digest(image.substr(sizeof(ImageHeader)), header_digest);
+}
 
 }  // namespace image
 }  // namespace pathalias

@@ -1,8 +1,7 @@
 #include "src/image/image_view.h"
 
 #include <cstring>
-
-#include "src/support/fnv1a.h"
+#include <string>
 
 namespace pathalias {
 namespace image {
@@ -53,8 +52,16 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
     Fail(error, "endianness mismatch (image written on a foreign-endian host)");
     return std::nullopt;
   }
+  if (header.version < kVersion) {
+    Fail(error, ("image version " + std::to_string(header.version) +
+                 " predates this binary's version " + std::to_string(kVersion) +
+                 " (its checksum is no longer verifiable); rebuild it with `routedb "
+                 "freeze` or `routedb update --init`")
+                    .c_str());
+    return std::nullopt;
+  }
   if (header.version != kVersion) {
-    Fail(error, "unsupported image version");
+    Fail(error, "unsupported image version (written by a newer binary)");
     return std::nullopt;
   }
   if (header.file_size != buffer.size()) {
@@ -157,13 +164,7 @@ std::optional<ImageView> ImageView::Adopt(std::string_view buffer, Verify verify
   }
 
   if (verify == Verify::kChecksum) {
-    // The stored checksum was computed with its own field zeroed; reproduce that.
-    ImageHeader zeroed = header;
-    zeroed.checksum = 0;
-    uint64_t actual = support::Fnv1a(
-        std::string_view(reinterpret_cast<const char*>(&zeroed), sizeof(zeroed)));
-    actual = support::Fnv1a(buffer.substr(sizeof(ImageHeader)), actual);
-    if (actual != header.checksum) {
+    if (ImageChecksum(buffer) != header.checksum) {
       Fail(error, "checksum mismatch (corrupted image)");
       return std::nullopt;
     }

@@ -26,8 +26,8 @@ class ImageView {
     // never touches the byte pools beyond their last byte — this is the zero-startup
     // open path.
     kStructure,
-    // Structure plus the FNV-1a payload checksum: detects bit rot anywhere in the
-    // image at the cost of one streaming read.
+    // Structure plus the XXH64 image checksum (ImageChecksum): detects bit rot
+    // anywhere in the image at the cost of one streaming read.
     kChecksum,
   };
 

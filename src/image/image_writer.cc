@@ -7,24 +7,18 @@
 
 #include "src/image/image_format.h"
 #include "src/support/durable_file.h"
-#include "src/support/fnv1a.h"
+#include "src/support/fastmod.h"
 #include "src/support/primes.h"
 
 namespace pathalias {
 namespace image {
 namespace {
 
-void AppendPadding(std::string& out, size_t alignment_target) {
-  while (out.size() < alignment_target) {
-    out.push_back('\0');
-  }
-}
-
+// Copies `record` to byte `offset` of `out`.  memcpy, because a section's records sit
+// in a char buffer; the section offsets keep them 8-aligned for the readers.
 template <typename T>
-void AppendRecords(std::string& out, const std::vector<T>& records) {
-  if (!records.empty()) {
-    out.append(reinterpret_cast<const char*>(records.data()), records.size() * sizeof(T));
-  }
+void Put(std::string& out, size_t offset, const T& record) {
+  std::memcpy(out.data() + offset, &record, sizeof(T));
 }
 
 }  // namespace
@@ -34,66 +28,24 @@ std::string ImageWriter::Freeze(const RouteSet& routes, uint64_t generation) {
   const uint32_t name_count = static_cast<uint32_t>(names.size());
   const uint32_t route_count = static_cast<uint32_t>(routes.size());
 
-  // Name pool + entries, in id order (ids are the on-disk keys; order is identity).
-  std::string name_bytes;
-  std::vector<NameInterner::FrozenEntry> entries;
-  entries.reserve(name_count);
+  // The pool sizes come first, so every section can be written straight into its
+  // place in the output buffer.
+  size_t name_bytes_size = 0;
   for (uint32_t id = 0; id < name_count; ++id) {
-    std::string_view name = names.View(id);
-    NameInterner::FrozenEntry entry;
-    entry.hash = names.HashOf(id);
-    entry.bytes_offset = static_cast<uint32_t>(name_bytes.size());
-    entry.length = static_cast<uint32_t>(name.size());
-    entry.suffix = names.Suffix(id);
-    entry.reserved = 0;
-    entries.push_back(entry);
-    name_bytes.append(name);
-    name_bytes.push_back('\0');
+    name_bytes_size += names.View(id).size() + 1;
   }
-  assert(name_bytes.size() <= UINT32_MAX && "name pool exceeds the u32 offset space");
+  size_t route_bytes_size = 0;
+  for (const Route& route : routes.routes()) {
+    route_bytes_size += route.route.size() + 1;
+  }
+  assert(name_bytes_size <= UINT32_MAX && "name pool exceeds the u32 offset space");
+  assert(route_bytes_size <= UINT32_MAX && "route pool exceeds the u32 offset space");
 
-  // Probe table, rebuilt from the recorded hashes with the interner's own insertion
-  // scheme (double hashing, stride T-2-(k mod T-2)).  Rebuilding rather than copying
-  // keeps freezing independent of the live table's fate (StealTable) and packs the
-  // frozen table at its own high-water mark regardless of growth history.
   uint64_t capacity = NextPrime(
       static_cast<uint64_t>(static_cast<double>(name_count) / NameInterner::kHighWater) + 2);
   if (capacity < 5) {
     capacity = 5;
   }
-  std::vector<NameInterner::FrozenSlot> slots(capacity,
-                                              NameInterner::FrozenSlot{kNoName, 0});
-  for (uint32_t id = 0; id < name_count; ++id) {
-    uint64_t k = entries[id].hash;
-    uint64_t index = k % capacity;
-    uint64_t stride = capacity - 2 - (k % (capacity - 2));
-    while (slots[index].id != kNoName) {
-      index += stride;
-      if (index >= capacity) {
-        index -= capacity;
-      }
-    }
-    slots[index] = NameInterner::FrozenSlot{id, static_cast<uint32_t>(k)};
-  }
-
-  // Route records + pool, and the NameId -> route index.
-  std::string route_bytes;
-  std::vector<FrozenRoute> frozen_routes;
-  frozen_routes.reserve(route_count);
-  std::vector<uint32_t> by_name(name_count, 0);
-  for (const Route& route : routes.routes()) {
-    FrozenRoute record;
-    record.name = route.name;
-    record.route_offset = static_cast<uint32_t>(route_bytes.size());
-    record.route_length = static_cast<uint32_t>(route.route.size());
-    record.reserved = 0;
-    record.cost = route.cost;
-    by_name[route.name] = static_cast<uint32_t>(frozen_routes.size()) + 1;
-    frozen_routes.push_back(record);
-    route_bytes.append(route.route);
-    route_bytes.push_back('\0');
-  }
-  assert(route_bytes.size() <= UINT32_MAX && "route pool exceeds the u32 offset space");
 
   // Lay out sections: fixed-width records first (all 8-aligned), byte pools last.
   ImageHeader header;
@@ -110,43 +62,82 @@ std::string ImageWriter::Freeze(const RouteSet& routes, uint64_t generation) {
 
   size_t offset = sizeof(ImageHeader);
   header.names_offset = offset;
-  offset = AlignUp8(offset + entries.size() * sizeof(NameInterner::FrozenEntry));
+  offset = AlignUp8(offset + name_count * sizeof(NameInterner::FrozenEntry));
   header.slots_offset = offset;
-  offset = AlignUp8(offset + slots.size() * sizeof(NameInterner::FrozenSlot));
+  offset = AlignUp8(offset + capacity * sizeof(NameInterner::FrozenSlot));
   header.routes_offset = offset;
-  offset = AlignUp8(offset + frozen_routes.size() * sizeof(FrozenRoute));
+  offset = AlignUp8(offset + route_count * sizeof(FrozenRoute));
   header.by_name_offset = offset;
-  offset = AlignUp8(offset + by_name.size() * sizeof(uint32_t));
+  offset = AlignUp8(offset + name_count * sizeof(uint32_t));
   header.name_bytes_offset = offset;
-  header.name_bytes_size = name_bytes.size();
-  offset = AlignUp8(offset + name_bytes.size());
+  header.name_bytes_size = name_bytes_size;
+  offset = AlignUp8(offset + name_bytes_size);
   header.route_bytes_offset = offset;
-  header.route_bytes_size = route_bytes.size();
-  offset += route_bytes.size();
+  header.route_bytes_size = route_bytes_size;
+  offset += route_bytes_size;
   header.file_size = offset;
 
-  std::string out;
-  out.reserve(offset);
-  out.append(sizeof(ImageHeader), '\0');  // checksum is stamped after the payload
-  AppendRecords(out, entries);
-  AppendPadding(out, header.slots_offset);
-  AppendRecords(out, slots);
-  AppendPadding(out, header.routes_offset);
-  AppendRecords(out, frozen_routes);
-  AppendPadding(out, header.by_name_offset);
-  AppendRecords(out, by_name);
-  AppendPadding(out, header.name_bytes_offset);
-  out.append(name_bytes);
-  AppendPadding(out, header.route_bytes_offset);
-  out.append(route_bytes);
-  assert(out.size() == header.file_size);
+  // Zero-filled: padding, reserved fields, pool terminators and by-name misses are
+  // all zero bytes, so only the non-zero data below needs writing.
+  std::string out(header.file_size, '\0');
 
-  // Checksum the whole image — header included, with the checksum field held at zero —
-  // so a flipped header bit (flags, counts, offsets) is as detectable as payload rot.
-  header.checksum = 0;
-  std::memcpy(out.data(), &header, sizeof(header));
-  header.checksum = support::Fnv1a(out);
-  std::memcpy(out.data(), &header, sizeof(header));
+  // Name entries + pool, in id order (ids are the on-disk keys; order is identity),
+  // and the probe table, rebuilt from the recorded hashes with the interner's own
+  // insertion scheme (double hashing, stride T-2-(k mod T-2)).  Rebuilding rather
+  // than copying keeps freezing independent of the live table's fate (StealTable)
+  // and packs the frozen table at its own high-water mark regardless of growth
+  // history.
+  const FastMod slot_of(capacity);
+  const FastMod stride_of(capacity - 2);
+  std::vector<NameInterner::FrozenSlot> slots(capacity, NameInterner::FrozenSlot{kNoName, 0});
+  uint32_t name_pool_offset = 0;
+  for (uint32_t id = 0; id < name_count; ++id) {
+    std::string_view name = names.View(id);
+    NameInterner::FrozenEntry entry;
+    entry.hash = names.HashOf(id);
+    entry.bytes_offset = name_pool_offset;
+    entry.length = static_cast<uint32_t>(name.size());
+    entry.suffix = names.Suffix(id);
+    entry.reserved = 0;
+    Put(out, header.names_offset + id * sizeof(entry), entry);
+    std::memcpy(out.data() + header.name_bytes_offset + name_pool_offset, name.data(),
+                name.size());
+    name_pool_offset += entry.length + 1;
+
+    const uint64_t k = entry.hash;
+    uint64_t index = slot_of.Mod(k);
+    const uint64_t stride = capacity - 2 - stride_of.Mod(k);
+    while (slots[index].id != kNoName) {
+      index += stride;
+      if (index >= capacity) {
+        index -= capacity;
+      }
+    }
+    slots[index] = NameInterner::FrozenSlot{id, static_cast<uint32_t>(k)};
+  }
+  std::memcpy(out.data() + header.slots_offset, slots.data(),
+              slots.size() * sizeof(NameInterner::FrozenSlot));
+
+  // Route records + pool, and the NameId -> route index.
+  uint32_t route_pool_offset = 0;
+  for (uint32_t i = 0; i < route_count; ++i) {
+    const Route& route = routes.routes()[i];
+    FrozenRoute record;
+    record.name = route.name;
+    record.route_offset = route_pool_offset;
+    record.route_length = static_cast<uint32_t>(route.route.size());
+    record.reserved = 0;
+    record.cost = route.cost;
+    Put(out, header.routes_offset + i * sizeof(record), record);
+    Put(out, header.by_name_offset + route.name * sizeof(uint32_t), i + 1);
+    std::memcpy(out.data() + header.route_bytes_offset + route_pool_offset,
+                route.route.data(), route.route.size());
+    route_pool_offset += record.route_length + 1;
+  }
+
+  Put(out, 0, header);
+  header.checksum = ImageChecksum(out);
+  Put(out, 0, header);
   return out;
 }
 

@@ -1,10 +1,11 @@
 // ImageWriter: freeze a live NameInterner + RouteSet into a .pari image.
 //
-// Freezing walks the route set once, lays every name and route string into offset-based
-// pools, rebuilds the probe table from the hashes the interner recorded at intern time
-// (so freezing works even after the mapper stole the live table), and stamps the header
-// with the checksum.  The output is position-independent: mmap it anywhere and hand it
-// to ImageView / FrozenRouteSet.
+// Freezing sizes the two byte pools, then writes every section straight into its place
+// in one output buffer: name records and pool, the probe table rebuilt from the hashes
+// the interner recorded at intern time (so freezing works even after the mapper stole
+// the live table), route records and pool.  Last it stamps the header with the
+// checksum (ImageChecksum).  The output is position-independent: mmap it anywhere and
+// hand it to ImageView / FrozenRouteSet.
 
 #ifndef SRC_IMAGE_IMAGE_WRITER_H_
 #define SRC_IMAGE_IMAGE_WRITER_H_

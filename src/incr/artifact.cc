@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "src/parser/parse_recorder.h"
-#include "src/support/fnv1a.h"
+#include "src/support/digest.h"
 
 namespace pathalias {
 namespace incr {
@@ -143,7 +143,7 @@ void FileArtifact::ReportStoredErrors(Diagnostics* diag) const {
 FileArtifact ParseFileToArtifact(const InputFile& file, Diagnostics* diag) {
   FileArtifact artifact;
   artifact.file_name = file.name;
-  artifact.digest = support::Fnv1a(file.content);
+  artifact.digest = support::Digest(file.content);
   ArtifactRecorder recorder(&artifact);
   // The scratch graph exists only to satisfy the parser; declarations land in the
   // recorder.  Errors (with their positions) are forwarded to the caller; warnings

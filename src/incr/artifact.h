@@ -68,7 +68,7 @@ struct FileArtifact {
   // pathalint: allow(R1): replay-artifact identity — the input file path as
   // serialized to the state dir; diagnostics and staleness checks, not routing.
   std::string file_name;
-  uint64_t digest = 0;  // support::Fnv1a of the input file's bytes
+  uint64_t digest = 0;  // support::Digest (XXH64) of the input file's bytes
   // pathalint: allow(R1): the artifact's own symbol table — serialized bytes as
   // written in the source file; replay re-interns them into whatever interner
   // the rebuilt graph owns, so the artifact must carry the raw spelling.
@@ -88,11 +88,12 @@ struct FileArtifact {
   // Bitmask of the OpKinds present in `ops` (bit = 1u << kind).  Derived — computed
   // at record time and recomputed after deserialization, never serialized.
   uint32_t kind_mask = 0;
-  // support::Fnv1a(SerializeArtifact(*this)) when known: the content address of this
+  // support::Digest(SerializeArtifact(*this)) when known: the content address of this
   // artifact's state-directory payload (src/incr/state_dir.h).  Derived, never
-  // serialized.  LoadStateDir fills it from the payload name it matched, a save fills
-  // it for every payload it wrote or found, and an artifact rebuilt from input starts
-  // without one.  A save trusts it only next to an existing payload of that name.
+  // serialized.  LoadStateDir fills it from the payload bytes it read (after checking
+  // they digest to the payload's name), a save fills it for every payload it wrote or
+  // found, and an artifact rebuilt from input starts without one.  A save trusts it
+  // only next to an existing payload of that name.
   std::optional<uint64_t> payload_digest;
 
   bool HasOp(OpKind kind) const { return (kind_mask & (1u << static_cast<uint8_t>(kind))) != 0; }

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "src/core/route_printer.h"
-#include "src/support/fnv1a.h"
+#include "src/support/digest.h"
 
 namespace pathalias {
 namespace incr {
@@ -53,7 +53,7 @@ bool MapBuilder::BuildReusing(const std::vector<InputFile>& files,
   merged.reserve(files.size());
   for (const InputFile& file : files) {
     auto it = prior_index.find(file.name);
-    if (it != prior_index.end() && prior[it->second].digest == support::Fnv1a(file.content)) {
+    if (it != prior_index.end() && prior[it->second].digest == support::Digest(file.content)) {
       merged.push_back(std::move(prior[it->second]));
       ++reused;
     } else {
@@ -194,7 +194,7 @@ UpdateStats MapBuilder::Update(const std::vector<InputFile>& changed,
   for (const InputFile& file : changed) {
     auto it = index_by_name.find(file.name);
     if (it != index_by_name.end() &&
-        artifacts_[it->second].digest == support::Fnv1a(file.content)) {
+        artifacts_[it->second].digest == support::Digest(file.content)) {
       ++stats.files_unchanged;
       continue;
     }

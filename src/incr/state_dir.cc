@@ -1,15 +1,14 @@
 #include "src/incr/state_dir.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <sstream>
 #include <unordered_set>
 #include <vector>
 
+#include "src/support/digest.h"
 #include "src/support/durable_file.h"
 #include "src/support/failpoint.h"
-#include "src/support/fnv1a.h"
 #include "src/support/read_file.h"
 
 namespace pathalias {
@@ -18,9 +17,11 @@ namespace {
 
 namespace fs = std::filesystem;
 
-// v1: local / ignore_case / files.  v2 adds a generation line (the image publish
-// generation) between ignore_case and files; v1 loads back as generation 0.
-constexpr int kManifestVersion = 2;
+// v1: local / ignore_case / files.  v2 added a generation line (the image publish
+// generation) between ignore_case and files.  v3 changed every digest in the
+// directory — input digests and payload names — from FNV-1a to XXH64, so older
+// manifests are refused rather than read.
+constexpr int kManifestVersion = 3;
 
 // Slot index + digest of the serialized bytes: content-addressed, so a re-save
 // never overwrites a payload an older manifest still references (unless the bytes
@@ -30,19 +31,6 @@ std::string ArtifactFileName(size_t index, uint64_t bytes_digest) {
   std::snprintf(name, sizeof(name), "%04zu-%016llx.pai", index,
                 static_cast<unsigned long long>(bytes_digest));
   return name;
-}
-
-// The digest ArtifactFileName(index, digest) put in `name`, if that is what made it.
-std::optional<uint64_t> DigestFromFileName(size_t index, const std::string& name) {
-  size_t dash = name.rfind('-');
-  if (dash == std::string::npos) {
-    return std::nullopt;
-  }
-  uint64_t digest = std::strtoull(name.c_str() + dash + 1, nullptr, 16);
-  if (ArtifactFileName(index, digest) != name) {
-    return std::nullopt;
-  }
-  return digest;
 }
 
 // Durable temp + fsync + rename + parent-dir fsync: a crash mid-save leaves the
@@ -97,7 +85,7 @@ bool Save(const std::string& dir, const StateDirHeader& header,
     std::string file_name = digest.has_value() ? ArtifactFileName(i, *digest) : std::string();
     if (!digest.has_value() || !on_disk.contains(file_name)) {
       std::string bytes = SerializeArtifact(artifact);
-      digest = support::Fnv1a(bytes);
+      digest = support::Digest(bytes);
       file_name = ArtifactFileName(i, *digest);
       if (!on_disk.contains(file_name) &&
           !WriteFileAtomically(payload_dir / file_name, bytes)) {
@@ -158,6 +146,12 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
   if (!(in >> word >> version) || word != "pathalias-state" || version < 1) {
     return fail("unrecognized manifest header");
   }
+  if (version < kManifestVersion) {
+    return fail("manifest version " + std::to_string(version) +
+                " predates this binary's version " + std::to_string(kManifestVersion) +
+                " (its digests are no longer comparable); rebuild the state dir with "
+                "`routedb update --init`");
+  }
   if (version > kManifestVersion) {
     return fail("manifest version " + std::to_string(version) +
                 " is newer than this binary understands — rebuild the state dir");
@@ -184,15 +178,13 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     return fail("manifest missing ignore_case");
   }
   contents.ignore_case = field == "1";
-  if (version >= 2) {
-    if (!next_field("generation", &field)) {
-      return fail("manifest missing generation");
-    }
-    try {
-      contents.image_generation = std::stoull(field);
-    } catch (...) {
-      return fail("malformed generation");
-    }
+  if (!next_field("generation", &field)) {
+    return fail("manifest missing generation");
+  }
+  try {
+    contents.image_generation = std::stoull(field);
+  } catch (...) {
+    return fail("malformed generation");
   }
   if (!next_field("files", &field)) {
     return fail("manifest missing file count");
@@ -224,12 +216,18 @@ std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string
     if (!bytes.has_value()) {
       return fail("cannot read artifact " + artifact_file);
     }
+    // A payload is adopted under the content address its name claims, so the
+    // name must be that address: the digest of the bytes actually read.
+    const uint64_t payload_digest = support::Digest(*bytes);
+    if (artifact_file != ArtifactFileName(i, payload_digest)) {
+      return fail("artifact " + artifact_file + " does not match its name's digest");
+    }
     std::optional<FileArtifact> artifact = DeserializeArtifact(*bytes);
     if (!artifact.has_value() || artifact->digest != digest ||
         artifact->file_name != input_name) {
       return fail("artifact " + artifact_file + " does not match its manifest entry");
     }
-    artifact->payload_digest = DigestFromFileName(i, artifact_file);
+    artifact->payload_digest = payload_digest;
     contents.artifacts.push_back(std::move(*artifact));
   }
   return contents;

@@ -5,12 +5,13 @@
 //                            generation, then one line per input file — digest,
 //                            payload file, input name
 //   artifacts/NNNN-D.pai     serialized FileArtifact (src/incr/artifact.h) for slot
-//                            NNNN, where D is the support::Fnv1a digest of those bytes
+//                            NNNN, where D is the support::Digest (XXH64) of those bytes
 //
 // Payloads are content-addressed and the manifest is written last, each via durable
 // temp-file + fsync + rename (see src/support/durable_file.h), so a crashed save
 // leaves the previous state readable.  Input digests live in both the manifest and
-// the payloads; Load verifies they agree and rejects the directory wholesale on any
+// the payloads; Load verifies they agree, and that each payload's bytes digest to
+// the name they are stored under, and rejects the directory wholesale on any
 // mismatch (a state dir is a cache — the inputs can always rebuild it).
 //
 // What a save costs.  A save lists artifacts/ once.  An artifact whose
@@ -22,10 +23,11 @@
 // ones a save of the same artifacts into an empty directory writes.  Payloads the
 // new manifest does not name are removed after it is committed.
 //
-// Manifest format version 2 adds a `generation` line (the publish generation of
-// the image this state accompanies); version-1 directories still load, reading
-// back generation 0.  Unrecognized future versions are rejected with a clean
-// rebuild-needed error, never parsed on faith.
+// Manifest format version 3.  Version 2 added the `generation` line (the publish
+// generation of the image this state accompanies); version 3 moved every digest
+// from FNV-1a to XXH64.  Older and unrecognized future versions are both rejected
+// with a clean rebuild-needed error (`routedb update --init`), never parsed on
+// faith.
 //
 // Consumers: `pathalias --incremental <dir>` (skip lexing unchanged inputs across
 // invocations), `routedb update <image> <changed-files...>` (which keeps the state
@@ -53,8 +55,8 @@ struct StateDirHeader {
   std::string local;        // the effective local host the state was built with
   bool ignore_case = false;
   // Publish generation of the .pari image this state was saved alongside
-  // (ImageHeader::generation).  0 = unstamped: a v1 manifest, or a state dir
-  // that does not accompany an image.  Consumers that pair a state dir with an
+  // (ImageHeader::generation).  0 = unstamped: a state dir that does not
+  // accompany an image (`pathalias --incremental`).  Consumers that pair a state dir with an
   // image (RolloverController, routedb update) compare the two stamps and
   // treat a mismatch as a torn update — rebuild, never mix-and-match.
   uint64_t image_generation = 0;
@@ -76,8 +78,9 @@ bool SaveStateDir(const std::string& dir, const StateDirHeader& header,
                   std::span<FileArtifact> artifacts);
 
 // Reads a state directory back.  nullopt (with *error set) on missing/corrupt
-// manifest, unreadable artifacts, or digest disagreement.  Each artifact's
-// payload_digest is taken from the payload name its manifest line gives.
+// manifest, unreadable artifacts, or digest disagreement.  Each payload's bytes are
+// digested and must match the name its manifest line gives; that digest becomes
+// the artifact's payload_digest.
 std::optional<StateDirContents> LoadStateDir(const std::string& dir, std::string* error);
 
 }  // namespace incr

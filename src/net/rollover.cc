@@ -72,7 +72,7 @@ bool RolloverController::EnsureBuilder(std::string* detail) {
   // may not match the image's, and building on it could make AdoptRoutes adopt
   // routes keyed by the wrong ids.  Refuse; the old map keeps serving, and
   // `routedb update` (which re-freezes the whole image) heals the pairing.
-  // Stamps of 0 are pre-generation files and can't be checked.
+  // Stamps of 0 are unstamped files (a `routedb freeze` image) and can't be checked.
   if (state->image_generation != 0 && image_generation_ != 0 &&
       state->image_generation != image_generation_) {
     *detail = "generation mismatch: " + state_dir + " is generation " +

@@ -119,6 +119,21 @@ TEST(ImageView, RejectsBadMagicAndVersion) {
   EXPECT_NE(error.find("version"), std::string::npos) << error;
 }
 
+// Version 1 images carry an FNV-1a checksum: refused, with the commands that rebuild
+// them, even on the structure-only open path that never reads the checksum.
+TEST(ImageView, RejectsVersion1ImageWithTheFix) {
+  std::string buffer = image::ImageWriter::Freeze(PaperRouteSet());
+  image::ImageHeader header;
+  std::memcpy(&header, buffer.data(), sizeof(header));
+  ASSERT_EQ(header.version, 2u);
+  header.version = 1;
+  std::memcpy(buffer.data(), &header, sizeof(header));
+  std::string error;
+  EXPECT_FALSE(Adopt(buffer, image::ImageView::Verify::kStructure, &error).has_value());
+  EXPECT_NE(error.find("routedb freeze"), std::string::npos) << error;
+  EXPECT_NE(error.find("routedb update --init"), std::string::npos) << error;
+}
+
 TEST(ImageView, RejectsForeignEndianImage) {
   std::string buffer = image::ImageWriter::Freeze(PaperRouteSet());
   // Simulate reading a foreign-endian image: byte-swap the endian marker, as the whole
@@ -215,6 +230,18 @@ TEST(ImageView, ChecksumCoversTheHeader) {
   EXPECT_NE(error.find("checksum"), std::string::npos) << error;
 }
 
+// The paper example's image, pinned: any change to the layout, the record order, the
+// probe-table rebuild or the checksum changes these bytes, and must do so on purpose
+// (with an image version bump).
+TEST(ImageWriter, PaperExampleImageMatchesItsGolden) {
+  std::string buffer = image::ImageWriter::Freeze(PaperRouteSet());
+  image::ImageHeader header;
+  std::memcpy(&header, buffer.data(), sizeof(header));
+  EXPECT_EQ(header.file_size, 1005u);
+  EXPECT_EQ(header.checksum, 0x0602d9f6b018cbe0ull);
+  EXPECT_EQ(image::ImageChecksum(buffer), header.checksum);
+}
+
 TEST(FrozenImage, FileRoundTripThroughMmap) {
   RouteSet routes = PaperRouteSet();
   fs::path path = fs::temp_directory_path() /
@@ -265,7 +292,7 @@ TEST(ImageWriter, GenerationStampRoundTripsThroughTheFile) {
       FrozenImage::Open(path.string(), image::ImageView::Verify::kChecksum, &error);
   ASSERT_TRUE(opened.has_value()) << error;
   EXPECT_EQ(opened->view().header().generation, 17u);
-  // An unstamped freeze reads back as generation 0 (the legacy value).
+  // An unstamped freeze reads back as generation 0.
   std::string unstamped = image::ImageWriter::Freeze(routes);
   auto view = Adopt(unstamped, image::ImageView::Verify::kChecksum);
   ASSERT_TRUE(view.has_value());

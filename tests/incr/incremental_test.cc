@@ -15,7 +15,7 @@
 #include "src/incr/state_dir.h"
 #include "src/mapgen/mapgen.h"
 #include "src/route_db/route_db.h"
-#include "src/support/fnv1a.h"
+#include "src/support/digest.h"
 
 namespace pathalias {
 namespace incr {
@@ -52,7 +52,7 @@ TEST(Artifact, RecordsEveryDeclarationKind) {
   Diagnostics diag;
   FileArtifact artifact = ParseFileToArtifact(file, &diag);
   EXPECT_EQ(artifact.file_name, "kitchen.map");
-  EXPECT_EQ(artifact.digest, support::Fnv1a(file.content));
+  EXPECT_EQ(artifact.digest, support::Digest(file.content));
   EXPECT_FALSE(artifact.plain_links);
   EXPECT_NE(artifact.first_host, kNoSymbol);
   EXPECT_EQ(artifact.Symbol(artifact.first_host), "alpha");

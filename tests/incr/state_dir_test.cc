@@ -19,8 +19,8 @@
 
 #include "src/incr/artifact.h"
 #include "src/incr/map_builder.h"
+#include "src/support/digest.h"
 #include "src/support/failpoint.h"
-#include "src/support/fnv1a.h"
 #include "tests/incr/state_dir_oracle.h"
 
 namespace pathalias {
@@ -120,30 +120,27 @@ TEST_F(StateDirTest, GenerationRoundTrips) {
   EXPECT_EQ(loaded->artifacts.size(), 2u);
 }
 
-TEST_F(StateDirTest, Version1ManifestLoadsAsGenerationZero) {
+// Versions 1 and 2 digested with FNV-1a: their input digests and payload names mean
+// nothing to this binary, so they are refused with the command that rebuilds them.
+TEST_F(StateDirTest, OlderManifestVersionRefusedWithTheFix) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
-  // Rewrite the manifest as the v1 format: old header, no generation line.
-  std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t generation_at = manifest.find("generation\t");
-  ASSERT_NE(generation_at, std::string::npos);
-  size_t line_end = manifest.find('\n', generation_at);
-  manifest.erase(generation_at, line_end - generation_at + 1);
-  size_t header_at = manifest.find("pathalias-state 2");
-  ASSERT_NE(header_at, std::string::npos);
-  manifest.replace(header_at, 17, "pathalias-state 1");
-  WriteFileText(dir_ / "manifest", manifest);
+  const std::string saved = ReadFileText(dir_ / "manifest");
+  ASSERT_EQ(saved.rfind("pathalias-state 3\n", 0), 0u) << saved;
+  for (const char* older : {"pathalias-state 2", "pathalias-state 1"}) {
+    std::string manifest = saved;
+    manifest.replace(0, 17, older);
+    WriteFileText(dir_ / "manifest", manifest);
 
-  std::string error;
-  auto loaded = LoadStateDir(dir_.string(), &error);
-  ASSERT_TRUE(loaded.has_value()) << error;
-  EXPECT_EQ(loaded->image_generation, 0u);
-  EXPECT_EQ(loaded->artifacts.size(), 2u);
+    std::string error;
+    EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value()) << older;
+    EXPECT_NE(error.find("routedb update --init"), std::string::npos) << error;
+  }
 }
 
 TEST_F(StateDirTest, FutureVersionRejectedCleanly) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
   std::string manifest = ReadFileText(dir_ / "manifest");
-  size_t header_at = manifest.find("pathalias-state 2");
+  size_t header_at = manifest.find("pathalias-state 3");
   ASSERT_NE(header_at, std::string::npos);
   manifest.replace(header_at, 17, "pathalias-state 9");
   WriteFileText(dir_ / "manifest", manifest);
@@ -323,7 +320,7 @@ TEST_F(StateDirTest, KnownPayloadDigestSkipsSerialization) {
   ASSERT_TRUE(SaveStateDir(dir_.string(), header, contents.artifacts));
   for (const FileArtifact& artifact : contents.artifacts) {
     ASSERT_TRUE(artifact.payload_digest.has_value());
-    EXPECT_EQ(*artifact.payload_digest, support::Fnv1a(SerializeArtifact(artifact)));
+    EXPECT_EQ(*artifact.payload_digest, support::Digest(SerializeArtifact(artifact)));
   }
   std::map<std::string, std::string> before = StateDirFiles(dir_);
 
@@ -347,12 +344,13 @@ TEST_F(StateDirTest, LoadRemembersEachPayloadDigest) {
   ASSERT_TRUE(loaded.has_value()) << error;
   for (const FileArtifact& artifact : loaded->artifacts) {
     ASSERT_TRUE(artifact.payload_digest.has_value()) << artifact.file_name;
-    EXPECT_EQ(*artifact.payload_digest, support::Fnv1a(SerializeArtifact(artifact)));
+    EXPECT_EQ(*artifact.payload_digest, support::Digest(SerializeArtifact(artifact)));
   }
 }
 
-// Load takes a payload's digest from its name, which is sound only if the bytes it
-// decoded are the bytes a save would write: the decoder accepts canonical bytes only.
+// Load takes a payload's digest from the bytes it read, which names the decoded
+// artifact only if those are the bytes a save would write: the decoder accepts
+// canonical bytes only.
 TEST_F(StateDirTest, NonCanonicalPayloadRejected) {
   const std::string bytes = SerializeArtifact(SmallContents().artifacts[0]);
   auto decoded = DeserializeArtifact(bytes);
@@ -368,6 +366,31 @@ TEST_F(StateDirTest, NonCanonicalPayloadRejected) {
   std::string error;
   EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
   EXPECT_NE(error.find("does not match"), std::string::npos) << error;
+}
+
+// A flipped byte that still decodes canonically, in a field no manifest entry
+// repeats (here a symbol's spelling), must not be adopted under the payload's old
+// name: load recomputes each payload's digest and checks it against the name.
+TEST_F(StateDirTest, PayloadWhoseBytesDoNotMatchItsNameRejected) {
+  ASSERT_TRUE(SaveStateDir(dir_.string(), SmallContents()));
+  bool flipped = false;
+  for (const fs::directory_entry& entry : fs::directory_iterator(dir_ / "artifacts")) {
+    std::string bytes = ReadFileText(entry.path());
+    size_t at = bytes.find("alpha");
+    if (at == std::string::npos) {
+      continue;
+    }
+    bytes[at + 4] = 'b';  // "alphb": a different, equally valid payload
+    auto decoded = DeserializeArtifact(bytes);
+    ASSERT_TRUE(decoded.has_value());
+    ASSERT_EQ(SerializeArtifact(*decoded), bytes);
+    WriteFileText(entry.path(), bytes);
+    flipped = true;
+  }
+  ASSERT_TRUE(flipped);
+  std::string error;
+  EXPECT_FALSE(LoadStateDir(dir_.string(), &error).has_value());
+  EXPECT_NE(error.find("does not match its name"), std::string::npos) << error;
 }
 
 TEST_F(StateDirTest, DeletedPayloadIsRewritten) {
